@@ -5,12 +5,21 @@ Every paper table/figure has one bench module.  Each bench
 * times the experiment via pytest-benchmark (one round -- these are
   campaign workloads, not microbenchmarks),
 * writes the rendered paper-vs-measured report to
-  ``benchmarks/results/<experiment>.txt``, and
+  ``<results dir>/<experiment>.txt``, and
 * asserts the qualitative shape so a regression in the reproduction
   fails the bench rather than silently producing different science.
 
 Campaign sizes follow ``REPRO_FI_RUNS`` (default 150 per cell here;
 ``REPRO_FI_RUNS=1000`` reproduces the paper's statistics).
+
+Reports and the engine baseline land in a per-session temporary
+directory, so a plain test run leaves the committed files alone.  Pass
+``--record-bench-results`` to write them to ``benchmarks/results/``
+instead (this is how ``BENCH_engine.json`` is refreshed for
+``scripts/check_bench_regression.py``)::
+
+    PYTHONPATH=src python -m pytest -q benchmarks/test_engine_parallel.py \
+        --record-bench-results
 """
 
 from __future__ import annotations
@@ -20,6 +29,13 @@ import os
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-bench-results", action="store_true", default=False,
+        help="write bench reports and BENCH_engine.json to "
+             "benchmarks/results/ instead of a temporary directory")
 
 
 def pytest_collection_modifyitems(items):
@@ -36,7 +52,9 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> str:
+def results_dir(request, tmp_path_factory) -> str:
+    if not request.config.getoption("--record-bench-results"):
+        return str(tmp_path_factory.mktemp("bench-results"))
     os.makedirs(RESULTS_DIR, exist_ok=True)
     return RESULTS_DIR
 
@@ -54,12 +72,10 @@ def save_report(results_dir):
     return _save
 
 
-ENGINE_BASELINE = os.path.join(RESULTS_DIR, "BENCH_engine.json")
-
-
 @pytest.fixture
 def save_engine_baseline(results_dir):
-    """Merge one engine benchmark's metrics into ``BENCH_engine.json``.
+    """Merge one engine benchmark's metrics into ``BENCH_engine.json``
+    of the results directory.
 
     The machine-readable companion to the ``.txt`` reports: every
     engine-level bench records wall time, throughput, speedup, and its
@@ -68,16 +84,18 @@ def save_engine_baseline(results_dir):
     """
     import json
 
+    baseline = os.path.join(results_dir, "BENCH_engine.json")
+
     def _save(name: str, metrics: dict) -> None:
         data = {}
-        if os.path.exists(ENGINE_BASELINE):
-            with open(ENGINE_BASELINE, encoding="utf-8") as f:
+        if os.path.exists(baseline):
+            with open(baseline, encoding="utf-8") as f:
                 try:
                     data = json.load(f)
                 except ValueError:
                     data = {}
         data[name] = metrics
-        with open(ENGINE_BASELINE, "w", encoding="utf-8") as f:
+        with open(baseline, "w", encoding="utf-8") as f:
             json.dump(data, f, indent=2, sort_keys=True)
             f.write("\n")
 

@@ -2,8 +2,9 @@
 """CI gate on the committed engine-benchmark baseline.
 
 Reads ``benchmarks/results/BENCH_engine.json`` (refreshed by running the
-engine benches: ``PYTHONPATH=src python -m pytest benchmarks/ -q -k
-"engine_parallel or fused_sweep or prefix_replay_figure7"``) and fails
+engine benches with ``--record-bench-results``: ``PYTHONPATH=src python
+-m pytest benchmarks/ -q -k "engine_parallel or fused_sweep or
+prefix_replay_figure7" --record-bench-results``) and fails
 when a headline speedup regresses below its floor:
 
 * ``engine_parallel.speedup >= 1.5`` -- enforced when the baseline was

@@ -307,6 +307,13 @@ class HpcApplication(ABC):
         raise for corrupted-but-readable outputs; exceptions escaping here
         are classified as CRASH by the campaign (covering the library-
         level aborts the paper counts as crashes).
+
+        A classifier may return early -- skipping decode and analysis
+        work -- only when the inputs that work would decode equal
+        golden's, so the record is exactly what the full path would
+        produce.  Early return must not change the I/O sequence: every
+        read the full path starts with still happens, so read-path
+        faults fire (or not) identically.
         """
 
     # -- golden capture -------------------------------------------------------------

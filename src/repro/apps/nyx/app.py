@@ -14,6 +14,13 @@ The optional average-value detector (``use_average_detector=True``)
 upgrades mean-shifting SDCs to DETECTED, reproducing the paper's Fig. 7
 note that "all SDC cases with Nyx will be changed to detected cases
 after using the average-value-based method".
+
+Classification is guarded on the decoder's inputs: when the datatype,
+dims and raw data bytes the float decoder would read equal golden's,
+the run is BENIGN without decoding or halo finding.  Both are pure
+functions of those inputs, so the guard returns exactly the record the
+full path would; the file is still read once, so the I/O sequence (and
+any read-path corruption) is unchanged.
 """
 
 from __future__ import annotations
@@ -110,18 +117,36 @@ class NyxApplication(HpcApplication):
                           min_cells=self.min_cells)
 
     def analyze(self, mp: MountPoint) -> Dict[str, object]:
-        rho = self.read_density(mp)
-        catalog = self.find_halos(rho)
+        reader = Hdf5Reader(mp, PLOTFILE)
+        catalog = self.find_halos(reader.read(DATASET))
+        source = reader.decode_source(DATASET)
+        if source is not None:
+            # Record where the decoder's raw bytes sit instead of the
+            # bytes themselves: capture_golden keeps this very file in
+            # ``golden.outputs``, so classify slices them from there.
+            datatype, dims, raw = source
+            start = reader.info(DATASET).layout.data_address
+            source = (datatype, dims, start, start + len(raw))
         return {
             "catalog_text": catalog.to_text(),
             "n_halos": len(catalog),
             "average_value": catalog.average_value,
+            "decode_source": source,
         }
 
     # -- classification ---------------------------------------------------------------
 
     def classify(self, golden: GoldenRecord, mp: MountPoint) -> Tuple[Outcome, str]:
-        rho = self.read_density(mp)          # FormatError here → CRASH upstream
+        reader = Hdf5Reader(mp, PLOTFILE)    # FormatError here → CRASH upstream
+        source = reader.decode_source(DATASET)
+        golden_source = golden.analysis["decode_source"]
+        if source is not None and golden_source is not None:
+            datatype, dims, start, stop = golden_source
+            if source == (datatype, dims, golden.outputs[PLOTFILE][start:stop]):
+                # The float decoder and the halo finder are pure
+                # functions of these inputs: golden's catalog follows.
+                return Outcome.BENIGN, "halo catalog bit-wise identical"
+        rho = reader.read(DATASET)
         catalog = self.find_halos(rho)
         text = catalog.to_text()
         if text == golden.analysis["catalog_text"]:

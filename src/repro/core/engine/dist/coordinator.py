@@ -186,16 +186,12 @@ class Coordinator:
             # the workers are already dead by the time we degrade here.
         quarantined = queue.quarantined() if partial else ()
         if results_path is not None:
-            stats = write_merged(self.plan, queue.shard_paths(),
-                                 results_path, overwrite=overwrite,
-                                 partial=partial, extra=extra,
-                                 quarantined=quarantined)
-            merged, _ = merge_shards(self.plan, queue.shard_paths(),
-                                     partial=partial, extra=extra)
-        else:
-            merged, stats = merge_shards(self.plan, queue.shard_paths(),
-                                         partial=partial, extra=extra)
-        return merged, stats
+            return write_merged(self.plan, queue.shard_paths(),
+                                results_path, overwrite=overwrite,
+                                partial=partial, extra=extra,
+                                quarantined=quarantined)
+        return merge_shards(self.plan, queue.shard_paths(),
+                            partial=partial, extra=extra)
 
 
 def _worker_entry(root: str, plan: SweepPlan, worker_id: str,

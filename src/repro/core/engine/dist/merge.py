@@ -152,7 +152,8 @@ def write_merged(plan: SweepPlan, shard_paths: Sequence[str],
                  extra: Optional[Dict[Optional[str],
                                       Dict[int, RunRecord]]] = None,
                  quarantined: Sequence[Dict[str, Any]] = (),
-                 holes_path: Optional[str] = None) -> MergeStats:
+                 holes_path: Optional[str] = None,
+                 ) -> Tuple[Dict[str, List[RunRecord]], MergeStats]:
     """Write the merged checkpoint, byte-identical to serial execution.
 
     Records are emitted through the same ``format_stamped_line`` path,
@@ -169,6 +170,9 @@ def write_merged(plan: SweepPlan, shard_paths: Sequence[str],
     diagnostics -- is written as JSON beside the results (at
     *holes_path*, default ``<results>.holes.json``), even when there
     are no holes: the report's ``complete`` flag is the receipt.
+
+    Returns what :func:`merge_shards` returns -- the merged records per
+    cell and the merge statistics -- so callers parse the shards once.
     """
     if not overwrite and os.path.exists(results_path) \
             and os.path.getsize(results_path):
@@ -204,4 +208,4 @@ def write_merged(plan: SweepPlan, shard_paths: Sequence[str],
             json.dump(report.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
         os.replace(tmp_report, path)
-    return stats
+    return merged, stats

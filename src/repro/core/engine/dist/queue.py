@@ -366,14 +366,18 @@ class FileQueue:
         a ``done/`` file the expiry scan treats as authoritative (the
         orphaned claim is cleaned up, not re-executed).
         """
-        done = claim.lease.to_dict()
-        done["worker"] = claim.worker_id
+        self._settle_done(claim.lease, claim.worker_id, claim.path)
+
+    def _settle_done(self, lease: Lease, worker_id: str,
+                     claim_path: str) -> None:
+        done = lease.to_dict()
+        done["worker"] = worker_id
         self._write_json(
             "complete",
-            os.path.join(self.done_dir, f"{claim.lease.lease_id}.json"),
+            os.path.join(self.done_dir, f"{lease.lease_id}.json"),
             done)
         try:
-            self.io.unlink(claim.path)
+            self.io.unlink(claim_path)
         except FileNotFoundError:
             pass  # the lease expired and was re-posted; dedup absorbs it
 
@@ -434,9 +438,26 @@ class FileQueue:
 
     # -- coordinator side -------------------------------------------------------
 
+    def _published_by(self, lease_id: str) -> Optional[str]:
+        """The worker whose segment for *lease_id* is already in the
+        merge set, or ``None`` when no execution of it was published."""
+        prefix = f"seg-{lease_id}{_CLAIM_SEP}"
+        for path in self.shard_paths():
+            name = os.path.basename(path)
+            if name.startswith(prefix):
+                return name[len(prefix):-len(".jsonl")]
+        return None
+
     def _requeue(self, path: str) -> Optional[Lease]:
-        """Move one leased entry back to pending (attempt bumped), or
-        quarantine it if the bump exhausts the attempt budget."""
+        """Take one leased entry back from its (dead) worker.
+
+        The lease goes back to pending with its attempt bumped, or to
+        quarantine if the bump exhausts the attempt budget -- unless a
+        segment for it is already published (the worker died between
+        :meth:`publish_segment` and :meth:`complete`): then its records
+        are in the merge set and the lease is settled as done instead.
+        Returns the re-posted or settled lease, ``None`` otherwise.
+        """
         name = os.path.basename(path).rsplit(_CLAIM_SEP, 1)[0]
         if self.io.exists(os.path.join(self.done_dir, name)):
             # Completed but not released (killed between the two steps
@@ -447,13 +468,18 @@ class FileQueue:
                 pass
             return None
         try:
-            lease = Lease.from_dict(
-                self._read_payload("expire-read", path)).reassigned()
+            claimed = Lease.from_dict(
+                self._read_payload("expire-read", path))
         except FileNotFoundError:
             return None  # claim vanished mid-scan (completed or expired)
         except (FFISError, ValueError, OSError) as exc:
             self._quarantine_damaged(path, exc)
             return None
+        publisher = self._published_by(claimed.lease_id)
+        if publisher is not None:
+            self._settle_done(claimed, publisher, path)
+            return claimed
+        lease = claimed.reassigned()
         if lease.attempt >= self.quarantine_after:
             self._quarantine_poison(
                 lease, "lease expired past its attempt budget; the "
@@ -473,14 +499,19 @@ class FileQueue:
 
     def expire_stale(self, ttl_seconds: float,
                      now: Optional[float] = None) -> List[Lease]:
-        """Re-post every claim whose heartbeat is older than the TTL.
+        """Take back every claim whose heartbeat is older than the TTL.
 
-        The re-executed range may duplicate records a dead (or merely
-        slow) worker already wrote -- the merge step deduplicates by
+        A claim whose lease already has a published segment (its worker
+        died between publishing and completing) is settled as done, not
+        re-posted: re-running it would only duplicate records.  Any
+        other stale claim is re-posted with its attempt bumped.  The
+        re-executed range may still duplicate records of a merely slow
+        worker that publishes late -- the merge step deduplicates by
         ``(campaign, run index)``, so reassignment is always safe, just
         potentially wasteful.  A claim unlinked between the scan and
         the stat (its worker completed it) is skipped, never an error.
-        Returns the re-posted leases.
+        Returns the re-posted leases (attempt bumped) and the settled
+        ones (as claimed).
         """
         if now is None:
             # repro: allow[R001] lease liveness vs file mtimes; never recorded

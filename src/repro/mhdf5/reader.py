@@ -15,7 +15,7 @@ the HDF5 C library:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,10 +101,9 @@ class Hdf5Reader:
     def read(self, name: str) -> np.ndarray:
         """Decode dataset *name* into a float64 array of its dataspace shape.
 
-        Contiguous layout: raw bytes come from the layout's ARD; a short
-        region (ARD shifted past EOF) zero-fills, matching sparse-read
-        semantics, and the allocation-size check reproduces the paper's
-        asymmetry (``size`` too small crashes, too large is harmless).
+        Contiguous layout: :meth:`decode_source` checks the layout and
+        slices the raw bytes, which the float decoder then turns into
+        values.
 
         Chunked layout: each indexed chunk is fetched (and inflated when
         deflate-filtered -- corruption inside a compressed chunk is a
@@ -113,20 +112,42 @@ class Hdf5Reader:
         ds = self.info(name)
         if ds.is_chunked:
             return self._read_chunked(ds)
-        count = ds.dataspace.npoints
-        need = count * ds.datatype.size
+        datatype, dims, raw = self._contiguous_source(ds)
+        return decode_floats(raw, datatype, ds.dataspace.npoints).reshape(dims)
+
+    def decode_source(self, name: str
+                      ) -> Optional[Tuple[DatatypeMessage, Tuple[int, ...], bytes]]:
+        """Everything :meth:`read` feeds the float decoder for *name*.
+
+        Returns ``(datatype, dims, raw)`` for a contiguous dataset, or
+        ``None`` for a chunked (possibly compressed) one.  Raises
+        exactly the :class:`FormatError` s that :meth:`read` raises
+        before decoding.
+        """
+        ds = self.info(name)
+        return None if ds.is_chunked else self._contiguous_source(ds)
+
+    def _contiguous_source(self, ds: DatasetInfo
+                           ) -> Tuple[DatatypeMessage, Tuple[int, ...], bytes]:
+        """Check a contiguous layout and slice its raw bytes.
+
+        The raw bytes come from the layout's ARD; a short region (ARD
+        shifted past EOF) comes back short and zero-fills when decoded,
+        matching sparse-read semantics.  The allocation-size check
+        reproduces the paper's asymmetry (``size`` too small crashes,
+        too large is harmless).
+        """
+        need = ds.dataspace.npoints * ds.datatype.size
         if ds.layout.size < need:
             raise FormatError(
-                f"dataset {name!r}: allocated size {ds.layout.size} smaller than "
-                f"dataspace extent {need}")
+                f"dataset {ds.name!r}: allocated size {ds.layout.size} smaller "
+                f"than dataspace extent {need}")
         if ds.layout.data_address > MAX_FILE_SIZE:
             raise FormatError(
-                f"dataset {name!r}: raw data address {ds.layout.data_address} "
+                f"dataset {ds.name!r}: raw data address {ds.layout.data_address} "
                 "beyond addressable range")
         start = ds.layout.data_address
-        raw = self._buf[start : start + need]
-        values = decode_floats(raw, ds.datatype, count)
-        return values.reshape(ds.dataspace.dims)
+        return ds.datatype, ds.dataspace.dims, self._buf[start : start + need]
 
     def _read_chunked(self, ds: DatasetInfo) -> np.ndarray:
         layout = ds.layout

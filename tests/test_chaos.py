@@ -390,8 +390,8 @@ class TestPartialMerge:
         paths = self.shards(tmp_path, plan, drop={("B", 1)})
         out = str(tmp_path / "results.jsonl")
         diag = {"lease_id": "lease-00002", "reason": "poison"}
-        stats = write_merged(plan, paths, out, partial=True,
-                             quarantined=(diag,))
+        _, stats = write_merged(plan, paths, out, partial=True,
+                                quarantined=(diag,))
         assert stats.holes == ("B:1",)
         pairs = [(stamp, record.run_index)
                  for _, stamp, record in iter_stamped_records(out)]

@@ -269,6 +269,23 @@ class TestFileQueue:
         assert queue.counts()["leased"] == 0
         assert queue.all_done()
 
+    def test_published_segment_settles_a_dead_claim(self, tmp_path):
+        """SIGKILL between publish_segment() and complete(): the records
+        are already in the merge set, so expiry settles the lease as
+        done instead of re-posting it for a duplicate execution."""
+        _, _, queue = self.queue(tmp_path, sizes=(2,), lease_runs=2)
+        claim = queue.claim("w0")
+        segment = queue.segment_path("w0", claim.lease.lease_id)
+        with open(segment + ".tmp", "w", encoding="utf-8") as f:
+            f.write("{}\n")
+        queue.publish_segment(segment)
+        assert queue.expire_stale(0.0, now=time.time() + 10) \
+            == [claim.lease]
+        assert queue.counts()["leased"] == 0
+        assert queue.counts()["pending"] == 0
+        assert queue.all_done()
+        assert queue.claim("w1") is None
+
     def test_claim_skips_and_cleans_completed_leases(self, tmp_path):
         """A completion that raced an expiry re-post leaves a stale
         pending copy; claiming it again would re-execute paid-for

@@ -8,7 +8,7 @@ from repro.mhdf5.api import File
 from repro.mhdf5.fieldmap import FieldClass
 from repro.mhdf5.reader import Hdf5Reader, list_datasets, read_dataset
 from repro.mhdf5.superblock import CONSISTENCY_FLAGS_OFFSET
-from repro.mhdf5.writer import write_file
+from repro.mhdf5.writer import DatasetSpec, write_file
 
 
 @pytest.fixture
@@ -140,6 +140,53 @@ class TestReaderStrictness:
             f.pwrite(larger, span.start)
         back = Hdf5Reader(mp, "/f.h5").read("density")
         assert np.array_equal(back.astype(np.float32), rho)
+
+    def layout_span(self, result, name):
+        return next(s for s in result.fieldmap
+                    if s.name == name and s.container == "layout")
+
+    def test_decode_source_raises_read_error_for_small_allocation(
+            self, mp, rho):
+        result = write_file(mp, "/f.h5", [("density", rho)])
+        span = self.layout_span(result, "Size")
+        with mp.open("/f.h5", "r+") as f:
+            f.pwrite((rho.size * 4 - 1).to_bytes(8, "little"), span.start)
+        reader = Hdf5Reader(mp, "/f.h5")
+        with pytest.raises(FormatError) as from_read:
+            reader.read("density")
+        with pytest.raises(FormatError) as from_source:
+            reader.decode_source("density")
+        assert "smaller" in str(from_read.value)
+        assert str(from_source.value) == str(from_read.value)
+
+    def test_decode_source_raises_read_error_for_wild_address(
+            self, mp, rho):
+        result = write_file(mp, "/f.h5", [("density", rho)])
+        span = self.layout_span(result, "Address of Raw Data (ARD)")
+        with mp.open("/f.h5", "r+") as f:
+            f.pwrite((1 << 40).to_bytes(8, "little"), span.start)
+        reader = Hdf5Reader(mp, "/f.h5")
+        with pytest.raises(FormatError) as from_read:
+            reader.read("density")
+        with pytest.raises(FormatError) as from_source:
+            reader.decode_source("density")
+        assert "beyond addressable range" in str(from_read.value)
+        assert str(from_source.value) == str(from_read.value)
+
+    def test_decode_source_is_what_read_decodes(self, mp, rho):
+        result = write_file(mp, "/f.h5", [("density", rho)])
+        datatype, dims, raw = Hdf5Reader(mp, "/f.h5").decode_source("density")
+        start = result.plan.datasets[0].data_address
+        assert dims == rho.shape
+        assert datatype.size == 4
+        assert raw == mp.read_file("/f.h5")[start:start + rho.nbytes]
+
+    def test_decode_source_is_none_for_chunked_layouts(self, mp, rho):
+        write_file(mp, "/f.h5", [DatasetSpec("density", rho, chunks=(4, 4, 4),
+                                             compression="deflate")])
+        reader = Hdf5Reader(mp, "/f.h5")
+        assert reader.decode_source("density") is None
+        assert np.array_equal(reader.read("density").astype(np.float32), rho)
 
     def test_missing_dataset(self, mp, rho):
         write_file(mp, "/f.h5", [("density", rho)])
