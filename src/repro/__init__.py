@@ -49,12 +49,11 @@ Names are resolved lazily (PEP 562), so ``import repro`` -- and
 ``repro --version`` -- stay cheap until something is used.
 """
 
-import warnings
 from typing import Dict, Tuple
 
-from repro.util.lazy import lazy_exports, resolve_export
+from repro.util.lazy import lazy_exports
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 #: Stable public name -> (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {
@@ -94,39 +93,6 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "run_study": ("repro.study", "run_study"),
 }
 
-#: Deprecated top-level aliases for engine internals.  They keep
-#: working, but the stable home is :mod:`repro.core.engine` (or the
-#: Study API, which makes most direct engine use unnecessary).
-_DEPRECATED: Dict[str, Tuple[str, str]] = {
-    name: ("repro.core.engine", name) for name in (
-        "ParallelExecutor",
-        "ProfileGoldenCache",
-        "RunPlan",
-        "RunSpec",
-        "SerialExecutor",
-        "SweepCell",
-        "SweepPlan",
-        "SweepResult",
-        "execute_plan",
-        "execute_sweep",
-    )
-}
-
 __all__ = sorted(_EXPORTS) + ["__version__"]
 
-_lazy_getattr, _lazy_dir = lazy_exports(__name__, globals(), _EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module, attr = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; import it from {module} "
-            "(or use the repro.study API)",
-            DeprecationWarning, stacklevel=2)
-        return resolve_export(module, attr)  # uncached so every use warns
-    return _lazy_getattr(name)
-
-
-def __dir__():
-    return sorted(set(_lazy_dir()) | set(_DEPRECATED))
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

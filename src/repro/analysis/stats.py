@@ -17,14 +17,14 @@ from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
 
 
 class SupportsTally(Protocol):
-    """Anything exposing a live tally (e.g. the engine's ``TallySink``)."""
+    """Anything exposing a tally (e.g. a ``CampaignResult``)."""
 
     tally: OutcomeTally
 
 
-#: Anything the stats helpers can tabulate: a finished tally, a streaming
-#: sink with a ``tally`` attribute (e.g. the engine's ``TallySink``), or
-#: a (possibly lazy) iterable of run records.
+#: Anything the stats helpers can tabulate: a finished tally, an object
+#: with a ``tally`` attribute (e.g. a ``CampaignResult``), or a (possibly
+#: lazy) iterable of run records.
 TallySource = Union[OutcomeTally, SupportsTally, Iterable[RunRecord]]
 
 
@@ -36,9 +36,9 @@ def as_tally(source: TallySource) -> OutcomeTally:
     """
     if isinstance(source, OutcomeTally):
         return source
-    sink_tally = getattr(source, "tally", None)
-    if isinstance(sink_tally, OutcomeTally):
-        return sink_tally
+    held = getattr(source, "tally", None)
+    if isinstance(held, OutcomeTally):
+        return held
     return OutcomeTally.from_records(source)
 
 #: Two-sided z value for 95 % confidence.
@@ -104,8 +104,9 @@ def campaign_error_bars(tally: TallySource,
                         method: str = "wilson") -> Dict[Outcome, RateEstimate]:
     """Per-outcome rate estimates for one campaign tally.
 
-    Accepts a tally, a streaming ``TallySink``, or an iterable of run
-    records (e.g. ``load_records(path)`` from a checkpoint file).
+    Accepts a tally, an object with a ``tally`` (``CampaignResult``),
+    or an iterable of run records (e.g. ``load_records(path)`` from a
+    checkpoint file).
     """
     tally = as_tally(tally)
     n = tally.total

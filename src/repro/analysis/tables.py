@@ -41,8 +41,8 @@ def render_outcome_grid(results: Mapping[str, TallySource],
     """One row per campaign cell, columns per outcome (Fig. 7 layout).
 
     Accepts any tally source per cell: an ``OutcomeTally``, an object
-    with a ``tally`` attribute (``CampaignResult``, a streaming sink),
-    or an iterable of run records.
+    with a ``tally`` attribute (``CampaignResult``), or an iterable of
+    run records.
     """
     headers = ["cell", "runs"] + [o.value for o in Outcome]
     rows: List[List[str]] = []

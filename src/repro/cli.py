@@ -66,6 +66,15 @@ def _add_replay_option(parser: argparse.ArgumentParser) -> None:
                              "setting REPRO_NO_REPLAY=1)")
 
 
+def _add_quarantine_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--quarantine-after", type=_positive_int,
+                        default=None, metavar="N",
+                        help="attempts before a repeatedly failing lease "
+                             "is quarantined instead of reassigned "
+                             "(default 3); the campaign then completes "
+                             "around the hole and reports it")
+
+
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes (1 = serial; results are "
@@ -154,13 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="queue directory for --hosts (default: a "
                                 "throwaway; name one to survive coordinator "
                                 "crashes)")
-            p.add_argument("--quarantine-after", type=_positive_int,
-                           default=None, metavar="N",
-                           help="attempts before a repeatedly failing "
-                                "lease is quarantined instead of "
-                                "reassigned (default 3); the campaign "
-                                "then completes around the hole and "
-                                "reports it")
+            _add_quarantine_option(p)
         if name in ("run", "serve"):
             p.add_argument("--out", default=None, metavar="RESULTS.jsonl",
                            help="stream every run record to this JSONL file")
@@ -183,13 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--timeout", type=float, default=None,
                            help="abort (resumably) if the campaign is "
                                 "still incomplete after this many seconds")
-            p.add_argument("--quarantine-after", type=_positive_int,
-                           default=None, metavar="N",
-                           help="attempts before a repeatedly failing "
-                                "lease is quarantined instead of "
-                                "reassigned (default 3); the campaign "
-                                "then completes around the hole and "
-                                "reports it")
+            _add_quarantine_option(p)
     ssub.add_parser("list", help="list the registered studies")
 
     worker = sub.add_parser(

@@ -8,10 +8,10 @@ mount/unmount-per-run discipline matches the paper's protocol.
 
 The per-run loop body lives in the campaign engine
 (:mod:`repro.core.engine`); :class:`Campaign` is a *planner* that turns
-its configuration into a declarative :class:`RunPlan` and hands it to an
-executor, so the same campaign runs serially or across worker processes
-with record-for-record identical results, optionally checkpointed to a
-resumable JSONL file.
+its configuration into a declarative :class:`RunPlan` and executes it
+as a one-cell sweep, so the same campaign runs serially or across worker
+processes with record-for-record identical results, optionally
+checkpointed to a resumable JSONL file.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from repro.core.engine import (
     RunPlan,
     RunSpec,
     SweepCell,
-    execute_plan,
+    SweepPlan,
     execute_run_spec,
+    execute_sweep,
     golden_digest,
 )
 from repro.core.generator import FaultGenerator
@@ -246,20 +247,22 @@ class Campaign:
         start = time.perf_counter()
         golden = self.capture_golden()
         profile = self.profile_from_golden(golden)
-        plan = self.plan(n_runs, profile=profile, golden=golden)
-        records = execute_plan(
-            plan,
+        cell = SweepCell(key="campaign",
+                         plan=self.plan(n_runs, profile=profile,
+                                        golden=golden),
+                         campaign_id=self.campaign_id(golden))
+        sweep = execute_sweep(
+            SweepPlan(cells=(cell,)),
             workers=self.config.workers if workers is None else workers,
             chunk_size=self.config.chunk_size,
             results_path=(self.config.results_path if results_path is None
                           else results_path),
             resume=self.config.resume if resume is None else resume,
-            campaign_id=self.campaign_id(golden),
             progress=progress)
         result = CampaignResult(app_name=self.app.name,
                                 signature=str(self.signature),
                                 phase=self.config.phase,
-                                records=records,
+                                records=sweep.records[cell.key],
                                 profile=profile, golden=golden,
                                 scenario=None if self.scenario.legacy
                                 else self.scenario.stamp())

@@ -1,8 +1,8 @@
 """The campaign execution engine: plan / execute / stream.
 
-Campaigns *plan* (declarative :class:`RunSpec` lists), executors *run*
-(serially or across processes, identically), sinks *stream* (tally,
-JSONL checkpoint with resume).  See the submodule docstrings for the
+Campaigns *plan* (declarative :class:`RunSpec` lists), one sweep
+execution *runs* them (serially or across processes, identically), and
+the JSONL sink *streams* them (checkpoint with resume).  See the submodule docstrings for the
 contract each layer owns.
 """
 
@@ -31,12 +31,10 @@ from repro.core.engine.dist import (
     execute_distributed,
     run_worker,
 )
-from repro.core.engine.runner import execute_plan, execute_run_spec
+from repro.core.engine.runner import execute_run_spec
 from repro.core.engine.sink import (
     SCHEMA_VERSION,
     JsonlSink,
-    ResultSink,
-    TallySink,
     completed_indices,
     iter_stamped_records,
     load_records,
@@ -64,7 +62,6 @@ __all__ = [
     "ParallelExecutor",
     "ProfileGoldenCache",
     "ReplayConstraint",
-    "ResultSink",
     "RunPlan",
     "RunSpec",
     "SCHEMA_VERSION",
@@ -72,11 +69,9 @@ __all__ = [
     "SweepCell",
     "SweepPlan",
     "SweepResult",
-    "TallySink",
     "choose_boundary",
     "completed_indices",
     "execute_distributed",
-    "execute_plan",
     "execute_run_spec",
     "execute_sweep",
     "golden_digest",

@@ -1,29 +1,25 @@
-"""Pluggable executors: how a run plan's specs actually get executed.
+"""Pluggable executors: how a fused sweep's specs actually get executed.
 
-The :class:`Executor` ABC is the swappable backend seam (one plan, many
-execution strategies).  :class:`SerialExecutor` is the reference
+The :class:`Executor` ABC is the swappable backend seam (one work list,
+many execution strategies).  :class:`SerialExecutor` is the reference
 implementation -- a plain in-process loop.  :class:`ParallelExecutor`
 fans the same specs out over a :class:`concurrent.futures.\
 ProcessPoolExecutor` using a **capture-then-fork** discipline: the
 parent finishes all fault-free work (profiles, golden captures, replay
 images) *before* the pool exists, publishes the execution payload --
 contexts plus the full materialized work list -- in a process-global
-registry, and spawns the workers with the ``fork`` start method so they
+registry, and starts the workers with the ``fork`` start method so they
 inherit it through copy-on-write page sharing.  Task submissions are
 then just ``(start, stop)`` index ranges into the inherited work list:
 per-task IPC cost is a few dozen bytes regardless of how large the
-golden ``ReplayImage``\\ s are.
+golden ``ReplayImage``\\ s are.  Like the distributed coordinator, the
+pool requires ``fork``; elsewhere, run serially (``workers=1``).
 
-Where ``fork`` is unavailable (spawn-only platforms), the payload ships
-once per worker through the pool initializer -- amortized O(workers),
-not O(chunks) -- and the range-based submissions stay identical.
-``map`` always yields records in plan order, so every backend is
-record-for-record interchangeable.
-
-Both backends also speak the fused-sweep protocol: ``map_tagged`` runs
-``(cell key, spec)`` pairs against a *dictionary* of execution contexts,
-which is how many campaigns share one worker pool (one pool
-initialization, interleaved dispatch) instead of running back to back.
+Both backends speak one protocol: ``map_tagged`` runs ``(cell key,
+spec)`` pairs against a *dictionary* of execution contexts and yields
+records in item order, which is how many campaigns share one worker
+pool (one pool initialization, interleaved dispatch) and why every
+backend is record-for-record interchangeable.
 """
 
 from __future__ import annotations
@@ -39,48 +35,36 @@ from repro.core.outcomes import RunRecord
 from repro.errors import ConfigError
 
 #: Parent-side registry of published payloads, keyed by a small integer
-#: token.  A pool created with the ``fork`` start method inherits this
-#: module global through the fork's copy-on-write address space, so the
-#: worker initializer receives only the token and resolves the payload
-#: -- contexts, golden records, replay images, and the materialized work
-#: list -- without a single pickle byte crossing the pipe.
+#: token.  A ``fork`` pool inherits this module global through the
+#: fork's copy-on-write address space, so the worker initializer
+#: receives only the token and resolves the payload -- contexts, golden
+#: records, replay images, and the materialized work list -- without a
+#: single pickle byte crossing the pipe.
 _FORK_REGISTRY: dict = {}
 _fork_tokens = itertools.count(1)
 
 #: Worker-side state installed by :func:`_init_worker`:
-#: ``(contexts, items, tagged)``.
+#: ``(contexts, items)``.
 _WORKER_STATE = None
 
 
-def _init_worker(token, shipped) -> None:
-    """Install the worker's payload.
-
-    ``fork`` pools pass only *token* (the payload is inherited via
-    :data:`_FORK_REGISTRY`); spawn pools pass the payload itself as
-    *shipped*, pickled exactly once per worker by the initializer
-    machinery rather than once per task.
-    """
+def _init_worker(token) -> None:
+    """Install the worker's payload, inherited via :data:`_FORK_REGISTRY`."""
     global _WORKER_STATE
-    _WORKER_STATE = shipped if shipped is not None else _FORK_REGISTRY[token]
+    _WORKER_STATE = _FORK_REGISTRY[token]
 
 
 def _run_span(start: int, stop: int) -> list:
     """Execute work items ``[start, stop)`` against the worker state."""
     from repro.core.engine.runner import execute_run_spec
 
-    contexts, items, tagged = _WORKER_STATE
-    if tagged:
-        return [(key, execute_run_spec(contexts[key], spec))
-                for key, spec in items[start:stop]]
-    return [execute_run_spec(contexts, spec) for spec in items[start:stop]]
+    contexts, items = _WORKER_STATE
+    return [(key, execute_run_spec(contexts[key], spec))
+            for key, spec in items[start:stop]]
 
 
 class Executor(ABC):
-    """Strategy for executing the specs of a :class:`RunPlan`."""
-
-    @abstractmethod
-    def map(self, plan) -> Iterator[RunRecord]:
-        """Yield one record per spec, in plan order, as they complete."""
+    """Strategy for executing the ``(cell key, spec)`` items of a sweep."""
 
     @abstractmethod
     def map_tagged(self, contexts: Mapping[str, object],
@@ -96,12 +80,6 @@ class Executor(ABC):
 class SerialExecutor(Executor):
     """The reference backend: execute specs one after another."""
 
-    def map(self, plan) -> Iterator[RunRecord]:
-        from repro.core.engine.runner import execute_run_spec
-
-        for spec in plan.specs:
-            yield execute_run_spec(plan.context, spec)
-
     def map_tagged(self, contexts, items) -> Iterator[Tuple[str, RunRecord]]:
         from repro.core.engine.runner import execute_run_spec
 
@@ -115,31 +93,27 @@ class SerialExecutor(Executor):
 class ParallelExecutor(Executor):
     """Capture-then-fork process pool for embarrassingly parallel runs.
 
-    The parent must finish golden capture before calling ``map``/
-    ``map_tagged`` (planners already guarantee this: a plan carries its
-    golden record).  The full payload -- execution contexts plus the
+    The parent must finish golden capture before calling ``map_tagged``
+    (planners already guarantee this: a plan carries its golden
+    record).  The full payload -- execution contexts plus the
     materialized work list -- is published to :data:`_FORK_REGISTRY`
-    before the pool starts:
-
-    * ``fork`` start method (preferred): workers inherit the payload by
-      page-sharing; the initializer receives a registry token only.
-    * spawn/forkserver: the payload ships through the initializer
-      arguments, pickled once per worker (O(workers), not O(chunks)).
-
-    Either way, a task submission is a ``(start, stop)`` index range --
-    its pickle size is independent of the golden image size, which is
-    what makes prefix-replayed sub-millisecond runs worth distributing.
+    before the pool starts, and ``fork`` workers inherit it by page
+    sharing: the initializer receives a registry token only, and a task
+    submission is a ``(start, stop)`` index range.  Neither pickle's
+    size depends on the golden image size, which is what makes
+    prefix-replayed sub-millisecond runs worth distributing.  The pool
+    refuses to exist without ``fork`` (:class:`ConfigError`).
 
     Dispatch is **chunked**: ``chunk_size`` specs per future amortize
     queue wakeups and future bookkeeping.  ``chunk_size=None`` adapts to
-    the plan: ``max(1, n_specs // (workers * 4))``, so tiny plans spread
-    across all workers instead of serializing onto one.  Records stream
-    back per chunk and are yielded in plan order, so chunking is
+    the work list: ``max(1, n_items // (workers * 4))``, so tiny sweeps
+    spread across all workers instead of serializing onto one.  Records
+    stream back per chunk and are yielded in item order, so chunking is
     invisible to every consumer.
 
     Submission is windowed: at most ``workers * IN_FLIGHT_PER_WORKER``
     chunk futures exist at any moment, keeping resident futures
-    O(workers) for arbitrarily long plans.
+    O(workers) for arbitrarily long sweeps.
     """
 
     #: In-flight futures allowed per worker.  Enough to keep every
@@ -153,28 +127,17 @@ class ParallelExecutor(Executor):
     MAX_ADAPTIVE_CHUNK_SIZE = 64
 
     def __init__(self, workers: int,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-        if start_method is not None and \
-                start_method not in multiprocessing.get_all_start_methods():
+        if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigError(
-                f"start method {start_method!r} not available here "
-                f"(have {multiprocessing.get_all_start_methods()})")
+                "a worker pool needs the 'fork' start method, which this "
+                "platform lacks; run with workers=1")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.start_method = start_method
-
-    def _mp_context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
 
     def _chunk_for(self, n_items: int) -> int:
         if self.chunk_size is not None:
@@ -182,32 +145,19 @@ class ParallelExecutor(Executor):
         return max(1, min(self.MAX_ADAPTIVE_CHUNK_SIZE,
                           n_items // (self.workers * 4)))
 
-    def map(self, plan) -> Iterator[RunRecord]:
-        if not plan.specs:
-            return
-        yield from self._stream(plan.context, list(plan.specs), tagged=False)
-
     def map_tagged(self, contexts, items) -> Iterator[Tuple[str, RunRecord]]:
-        yield from self._stream(dict(contexts), list(items), tagged=True)
-
-    def _stream(self, contexts, items, tagged: bool) -> Iterator:
+        items = list(items)
         if not items:
             return
-        mp_context = self._mp_context()
-        payload = (contexts, items, tagged)
         token = next(_fork_tokens)
-        if mp_context.get_start_method() == "fork":
-            # Publish before the pool exists: workers fork at first
-            # submission and inherit the registry as it stands then.
-            _FORK_REGISTRY[token] = payload
-            initargs = (token, None)
-        else:
-            initargs = (None, payload)
+        # Publish before the pool exists: workers fork at first
+        # submission and inherit the registry as it stands then.
+        _FORK_REGISTRY[token] = (dict(contexts), items)
         chunk = self._chunk_for(len(items))
-        pool = ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=mp_context,
-                                   initializer=_init_worker,
-                                   initargs=initargs)
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(token,))
         window = self.workers * self.IN_FLIGHT_PER_WORKER
         pending = deque()
         try:
@@ -228,8 +178,7 @@ class ParallelExecutor(Executor):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ParallelExecutor(workers={self.workers}, "
-                f"chunk_size={self.chunk_size}, "
-                f"start_method={self.start_method})")
+                f"chunk_size={self.chunk_size})")
 
 
 def make_executor(workers: int,

@@ -17,7 +17,7 @@ import hashlib
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Protocol, Tuple
 
 from repro.apps.base import GoldenRecord, HpcApplication
 from repro.fusefs.vfs import FFISFileSystem
@@ -89,9 +89,7 @@ class ArmedHook(Protocol):
 class ExecutionContext(ABC):
     """Everything a worker needs to execute any spec of one plan.
 
-    Instances must be picklable: a :class:`ParallelExecutor` ships one
-    context per worker process and then streams bare specs to it.  The
-    context owns the application under test, the golden record the run
+    The context owns the application under test, the golden record the run
     is classified against, and the campaign-specific way of arming a
     corruption hook on a fresh file system.
     """
@@ -158,7 +156,3 @@ class RunPlan:
 
     def __iter__(self) -> Iterator[RunSpec]:
         return iter(self.specs)
-
-    def subset(self, specs: Sequence[RunSpec]) -> "RunPlan":
-        """The same context over a reduced spec list (resume support)."""
-        return RunPlan(context=self.context, specs=tuple(specs))

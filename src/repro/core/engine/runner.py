@@ -4,28 +4,17 @@
 bookkeeping that ``Campaign.run_once`` and ``MetadataCampaign.run_case``
 used to duplicate: arm the hook, mount a fresh file system, execute the
 application, classify against the golden record, fold crashes into the
-outcome taxonomy, and record whether the fault actually fired.
-
-:func:`execute_plan` drives a whole :class:`RunPlan` through an
-executor, streaming every finished record into the result sinks (tally,
-JSONL checkpoint) as it completes and skipping run indices already
-present in a resumed results file.  It is implemented as a single-cell
-:func:`repro.core.engine.sweep.execute_sweep`, so campaign-level and
-sweep-level checkpoints share one on-disk format and one resume path.
+outcome taxonomy, and record whether the fault actually fired.  Every
+executor -- serial, fork pool, distributed worker -- calls it once per
+spec; :func:`repro.core.engine.sweep.execute_sweep` drives whole plans.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
-
-from repro.core.engine.executor import Executor
-from repro.core.engine.plan import ExecutionContext, RunPlan, RunSpec
-from repro.core.engine.sink import ResultSink
+from repro.core.engine.plan import ExecutionContext, RunSpec
 from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
 from repro.fusefs.mount import mount
-
-Progress = Callable[[int, int], None]
 
 
 def execute_run_spec(context: ExecutionContext, spec: RunSpec) -> RunRecord:
@@ -71,36 +60,3 @@ def execute_run_spec(context: ExecutionContext, spec: RunSpec) -> RunRecord:
         record.detail = (record.detail + " " + context.not_fired_note).strip()
     return record
 
-
-def execute_plan(plan: RunPlan, *,
-                 executor: Optional[Executor] = None,
-                 workers: int = 1,
-                 chunk_size: Optional[int] = None,
-                 results_path: Optional[str] = None,
-                 resume: bool = False,
-                 campaign_id: Optional[str] = None,
-                 progress: Optional[Progress] = None,
-                 sinks: Sequence[ResultSink] = ()) -> List[RunRecord]:
-    """Run every spec of *plan*, streaming records through the sinks.
-
-    * ``workers`` selects the executor (``>1`` forks a process pool)
-      unless an explicit ``executor`` is passed.
-    * ``results_path`` persists each record as one JSONL line the moment
-      it completes, so an interrupted campaign loses at most the runs in
-      flight.
-    * ``resume=True`` reads ``results_path`` first and executes only the
-      run indices not already recorded there; the returned list merges
-      old and new records in run order, identical to an uninterrupted
-      campaign.
-    * ``campaign_id`` stamps every persisted line with the campaign's
-      identity (app/model/seed/...); a resume against a checkpoint
-      stamped with a different identity is refused rather than merged.
-    """
-    from repro.core.engine.sweep import SweepCell, SweepPlan, execute_sweep
-
-    cell = SweepCell(key="plan", plan=plan, campaign_id=campaign_id)
-    result = execute_sweep(SweepPlan(cells=(cell,)), executor=executor,
-                           workers=workers, chunk_size=chunk_size,
-                           results_path=results_path,
-                           resume=resume, progress=progress, sinks=sinks)
-    return result.records[cell.key]

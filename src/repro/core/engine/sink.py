@@ -1,8 +1,8 @@
-"""Streaming result sinks: tally, JSONL persistence, checkpoint/resume.
+"""The JSONL checkpoint: persistence, resume, and the clobber guard.
 
-Records leave the executor one at a time; sinks consume them as a
-stream so a million-run campaign never needs its records resident to be
-tabulated or persisted.  The JSONL schema (one record per line, schema
+Records leave the executor one at a time; :class:`JsonlSink` appends
+them as a stream so a million-run campaign never needs its records
+resident to be persisted.  The JSONL schema (one record per line, schema
 version stamped on every line) is the stable on-disk contract: a
 checkpointed campaign resumes by reading the completed run indices back
 out of the file and executing only the remainder.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from abc import ABC, abstractmethod
 from typing import (
     Any,
     Dict,
@@ -24,7 +23,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
+from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
 
 #: Bump when a RunRecord field changes meaning; readers reject newer
@@ -253,28 +252,23 @@ def _trim_partial_tail(path: str) -> None:
         f.truncate(0)
 
 
-class ResultSink(ABC):
-    """Consumer of the executor's record stream."""
+def refuse_to_clobber(results_path: Optional[str], resume: bool) -> None:
+    """Refuse a fresh (non-resumed) start over a non-empty results file.
 
-    @abstractmethod
-    def emit(self, record: RunRecord) -> None:
-        """Consume one completed record."""
-
-    def close(self) -> None:
-        """Flush/release resources; called exactly once by the engine."""
-
-
-class TallySink(ResultSink):
-    """Streaming outcome tally -- statistics without retaining records."""
-
-    def __init__(self) -> None:
-        self.tally = OutcomeTally()
-
-    def emit(self, record: RunRecord) -> None:
-        self.tally.add_record(record)
+    Opening with mode ``"w"`` would silently discard a file full of
+    paid-for runs -- hours of campaign time gone to a missing flag --
+    so every campaign entry point calls this before any run executes.
+    Only an empty file may be (re)started in place.
+    """
+    if results_path is not None and not resume and \
+            os.path.exists(results_path) and os.path.getsize(results_path):
+        raise FFISError(
+            f"{results_path} already contains results; resume it "
+            "(--resume / resume=True) or write to a fresh --out path "
+            "instead of overwriting completed runs")
 
 
-class JsonlSink(ResultSink):
+class JsonlSink:
     """Appends each record to a JSONL file the moment it completes.
 
     Every line is flushed immediately: the file is the campaign's

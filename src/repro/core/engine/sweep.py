@@ -20,9 +20,9 @@ fuses many campaign plans into one execution:
   one sequential pool per cell.
 
 A single-cell sweep is exactly a classic campaign execution --
-:func:`repro.core.engine.runner.execute_plan` is implemented on top of
-this module -- so campaign- and sweep-level checkpoints share one
-on-disk format and one resume implementation.
+``Campaign.run`` and ``MetadataCampaign.run`` execute their plan as one
+cell -- so campaign- and sweep-level checkpoints share one on-disk
+format and one resume implementation.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from repro.core.engine.executor import Executor, make_executor
 from repro.core.engine.plan import RunPlan, RunSpec
 from repro.core.engine.sink import (
     JsonlSink,
-    ResultSink,
     load_records_by_campaign,
+    refuse_to_clobber,
 )
 from repro.core.outcomes import RunRecord
 from repro.errors import FFISError
@@ -304,8 +304,7 @@ def execute_sweep(plan: SweepPlan, *,
                   chunk_size: Optional[int] = None,
                   results_path: Optional[str] = None,
                   resume: bool = False,
-                  progress: Optional[Progress] = None,
-                  sinks: Sequence[ResultSink] = ()) -> SweepResult:
+                  progress: Optional[Progress] = None) -> SweepResult:
     """Execute every cell of *plan* through one executor.
 
     * ``workers`` selects the executor (``>1`` forks a single process
@@ -318,12 +317,11 @@ def execute_sweep(plan: SweepPlan, *,
       the missing ``(cell, run index)`` pairs; the per-cell merges are
       record-for-record identical to an uninterrupted sweep.
     * ``progress(completed, total)`` counts runs across the whole sweep.
-    * extra ``sinks`` consume the merged record stream (all cells).
 
     Dispatch order is a private optimization: within each cell, specs
     execute in replay-boundary order (consecutive runs restore the same
     golden snapshot), but records are **emitted** -- to the checkpoint,
-    the sinks, and ``progress`` -- in the cells' interleaved plan order
+    the result, and ``progress`` -- in the cells' interleaved plan order
     through a reorder buffer, so checkpoints stay byte-identical to the
     unsorted engine's and kill/resume semantics are unchanged.
     """
@@ -331,15 +329,7 @@ def execute_sweep(plan: SweepPlan, *,
     start = time.perf_counter()
     if resume and results_path is None:
         raise FFISError("resume=True requires results_path")
-    if results_path is not None and not resume and \
-            os.path.exists(results_path) and os.path.getsize(results_path):
-        # Opening with mode "w" here would silently discard a file full
-        # of paid-for runs -- hours of campaign time gone to a missing
-        # flag.  Only an empty file may be (re)started in place.
-        raise FFISError(
-            f"{results_path} already contains results; resume it "
-            "(--resume / resume=True) or write to a fresh --out path "
-            "instead of overwriting completed runs")
+    refuse_to_clobber(results_path, resume)
     if results_path is not None and len(plan.cells) > 1:
         unstamped = [cell.key for cell in plan.cells
                      if cell.campaign_id is None]
@@ -371,34 +361,14 @@ def execute_sweep(plan: SweepPlan, *,
         result.records[cell.key] = kept
         stamps[cell.key] = cell.campaign_id
 
-    all_sinks: List[ResultSink] = list(sinks)
     checkpoint: Optional[JsonlSink] = None
     if results_path is not None:
         checkpoint = JsonlSink(results_path, append=had_records)
-        all_sinks.append(checkpoint)
 
     total = len(plan)
     completed = sum(len(records) for records in result.records.values())
     contexts = {cell.key: cell.plan.context for cell in plan.cells}
     try:
-        if sinks and any(result.records.values()):
-            # Resumed records are part of this sweep's record stream: a
-            # tally (or any other extra sink) over a resumed sweep must
-            # see the already-completed runs too, or it silently
-            # undercounts every one of them.  They replay in
-            # interleaved plan order -- the order an uninterrupted
-            # sweep would have emitted them -- and only through the
-            # *extra* sinks: the checkpoint already holds their lines.
-            kept_by_pair = {
-                (key, record.run_index): record
-                for key, records in result.records.items()
-                for record in records}
-            for key, spec in _interleaved(
-                    [(cell.key, cell.plan.specs) for cell in plan.cells]):
-                record = kept_by_pair.get((key, spec.run_index))
-                if record is not None:
-                    for sink in sinks:
-                        sink.emit(record)
         if any(specs for _, specs in pending):
             # Emission stays in interleaved plan order; only the
             # dispatch sequence is boundary-sorted (see docstring).
@@ -419,24 +389,21 @@ def execute_sweep(plan: SweepPlan, *,
                         emitted += 1
                         if checkpoint is not None:
                             checkpoint.emit_stamped(record, stamps[key])
-                        for sink in all_sinks:
-                            if sink is not checkpoint:
-                                sink.emit(record)
                         result.records[key].append(record)
                         result.executed += 1
                         completed += 1
                         if progress is not None:
                             progress(completed, total)
             finally:
-                # Tear the executor down before closing the sinks so an
-                # interrupted parallel sweep cancels its pending runs
-                # promptly instead of racing a closed checkpoint file.
+                # Tear the executor down before closing the checkpoint
+                # so an interrupted parallel sweep cancels its pending
+                # runs promptly instead of racing a closed file.
                 close = getattr(stream, "close", None)
                 if close is not None:
                     close()
     finally:
-        for sink in all_sinks:
-            sink.close()
+        if checkpoint is not None:
+            checkpoint.close()
     for records in result.records.values():
         records.sort(key=lambda record: record.run_index)
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded

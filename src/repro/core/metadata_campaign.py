@@ -32,8 +32,9 @@ from repro.core.engine import (
     RunPlan,
     RunSpec,
     SweepCell,
-    execute_plan,
+    SweepPlan,
     execute_run_spec,
+    execute_sweep,
     golden_digest,
 )
 from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
@@ -297,16 +298,17 @@ class MetadataCampaign:
         start = time.perf_counter()
         info, golden = located if located is not None \
             else self.locate_metadata_write()
-        plan = self.plan(byte_stride, located=(info, golden))
-        records = execute_plan(
-            plan,
+        cell = SweepCell(key="metadata",
+                         plan=self.plan(byte_stride, located=(info, golden)),
+                         campaign_id=self.campaign_id(byte_stride, golden))
+        sweep = execute_sweep(
+            SweepPlan(cells=(cell,)),
             workers=self.workers if workers is None else workers,
             results_path=results_path,
             resume=resume,
-            campaign_id=self.campaign_id(byte_stride, golden),
             progress=progress)
         result = MetadataCampaignResult(app_name=self.app.name, mode=self.mode,
-                                        records=records,
+                                        records=sweep.records[cell.key],
                                         metadata=info, fieldmap=self.fieldmap)
         # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
         result.elapsed_seconds = time.perf_counter() - start

@@ -15,8 +15,9 @@ regression tested).  Campaign sizes follow ``REPRO_FI_RUNS``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from repro.analysis.stats import TallySource
 from repro.analysis.tables import render_outcome_grid, render_table
 from repro.apps.base import HpcApplication
 from repro.core.campaign import Campaign, CampaignResult
@@ -49,6 +50,15 @@ PAPER_NOTES = {
 }
 
 
+def render_figure7(cells: Mapping[str, TallySource]) -> str:
+    """The outcome grid plus the paper-notes table, one row per cell."""
+    grid = render_outcome_grid(cells,
+                               title="Figure 7: I/O fault characterization")
+    rows = [[label, PAPER_NOTES.get(label, "-")] for label in cells]
+    paper = render_table(["cell", "paper"], rows, title="Figure 7 (paper)")
+    return grid + "\n" + paper
+
+
 @dataclass
 class Figure7Result:
     cells: Dict[str, CampaignResult] = field(default_factory=dict)
@@ -61,11 +71,7 @@ class Figure7Result:
         return self.cells[label]
 
     def render(self) -> str:
-        grid = render_outcome_grid(self.cells,
-                                   title="Figure 7: I/O fault characterization")
-        rows = [[label, PAPER_NOTES.get(label, "-")] for label in self.cells]
-        paper = render_table(["cell", "paper"], rows, title="Figure 7 (paper)")
-        return grid + "\n" + paper
+        return render_figure7(self.cells)
 
 
 def run_figure7_cell(app: HpcApplication, fault_model: str,

@@ -34,6 +34,7 @@ from repro.core.engine.dist import (
     execute_distributed,
     run_worker,
 )
+from repro.core.engine.sink import refuse_to_clobber
 from repro.errors import FFISError
 from repro.fusefs.vfs import FFISFileSystem
 from repro.study.resultset import ResultSet
@@ -116,12 +117,7 @@ def serve_study(plan: StudyPlan, queue_root: str, *,
     holes written to a machine-readable report beside the checkpoint,
     and the result's ``degradation`` naming what is missing.
     """
-    if results_path is not None and not resume \
-            and os.path.exists(results_path) and os.path.getsize(results_path):
-        raise FFISError(
-            f"{results_path} already contains results; resume it "
-            "(--resume / resume=True) or write to a fresh --out path "
-            "instead of overwriting completed runs")
+    refuse_to_clobber(results_path, resume)
     # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
     start = time.perf_counter()
     coordinator = Coordinator(plan.sweep, queue_root, lease_runs=lease_runs,

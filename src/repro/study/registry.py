@@ -108,14 +108,9 @@ def table4_spec(seed: int = 0) -> StudySpec:
 
 
 def _render_figure7(results: ResultSet) -> str:
-    from repro.analysis.tables import render_outcome_grid, render_table
-    from repro.experiments.figure7 import PAPER_NOTES
+    from repro.experiments.figure7 import render_figure7
 
-    grid = render_outcome_grid(results.tallies(),
-                               title="Figure 7: I/O fault characterization")
-    rows = [[key, PAPER_NOTES.get(key, "-")] for key in results.keys()]
-    paper = render_table(["cell", "paper"], rows, title="Figure 7 (paper)")
-    return grid + "\n" + paper
+    return render_figure7(results.tallies())
 
 
 def _render_multifault(results: ResultSet) -> str:

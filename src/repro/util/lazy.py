@@ -18,10 +18,6 @@ import importlib
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 
-def resolve_export(module: str, attr: str) -> Any:
-    return getattr(importlib.import_module(module), attr)
-
-
 def lazy_exports(module_name: str, namespace: Dict[str, Any],
                  exports: Mapping[str, Tuple[str, str]],
                  ) -> Tuple[Callable[[str], Any], Callable[[], list]]:
@@ -34,7 +30,7 @@ def lazy_exports(module_name: str, namespace: Dict[str, Any],
             raise AttributeError(
                 f"module {module_name!r} has no attribute {name!r}"
             ) from None
-        value = resolve_export(module, attr)
+        value = getattr(importlib.import_module(module), attr)
         namespace[name] = value  # cache: resolve each name at most once
         return value
 

@@ -642,6 +642,22 @@ class TestStudyDistributed:
         with pytest.raises(FFISError, match="queue_root"):
             run_distributed(plan, hosts=2, resume=True)
 
+    def test_serve_refuses_to_clobber_before_posting(self, tmp_path):
+        """Like execute_sweep and execute_distributed, the cross-host
+        coordinator refuses a populated checkpoint without --resume --
+        before a single lease is posted."""
+        from repro.study import serve_study
+
+        plan = Study(self.toy_spec(), apps=self.apps()).plan()
+        occupied = tmp_path / "served.jsonl"
+        occupied.write_text("occupied\n", encoding="utf-8")
+        queue_root = tmp_path / "queue"
+        with pytest.raises(FFISError, match="already contains results"):
+            serve_study(plan, str(queue_root), results_path=str(occupied),
+                        poll_interval=0.05, timeout=2.0)
+        assert occupied.read_text(encoding="utf-8") == "occupied\n"
+        assert not queue_root.exists()
+
     def test_figure7_distributed_matches_serial_fixture(self, tmp_path):
         """The ISSUE's acceptance criterion: a 2-worker distributed
         figure7 run is byte-identical to the committed serial fixture."""

@@ -21,9 +21,7 @@ from repro.core.engine import (
     ParallelExecutor,
     RunSpec,
     SerialExecutor,
-    TallySink,
     completed_indices,
-    execute_plan,
     load_records,
     make_executor,
     record_from_json,
@@ -54,6 +52,12 @@ class TestRunSpec:
         assert plan.specs == again.specs
 
 
+def _map(executor, plan):
+    """A plan's records through ``map_tagged``, as a one-cell sweep."""
+    return [record for _, record in executor.map_tagged(
+        {"plan": plan.context}, [("plan", spec) for spec in plan.specs])]
+
+
 class TestExecutorEquivalence:
     def test_parallel_matches_serial_records(self, tiny_nyx, bf_config):
         serial = Campaign(tiny_nyx, bf_config).run()
@@ -62,8 +66,8 @@ class TestExecutorEquivalence:
 
     def test_explicit_executors_interchangeable(self, tiny_nyx, bf_config):
         plan = Campaign(tiny_nyx, bf_config).plan()
-        serial = list(SerialExecutor().map(plan))
-        parallel = list(ParallelExecutor(workers=3).map(plan))
+        serial = _map(SerialExecutor(), plan)
+        parallel = _map(ParallelExecutor(workers=3), plan)
         assert serial == parallel
 
     def test_metadata_sweep_parallel_matches_serial(self, tiny_nyx):
@@ -146,7 +150,7 @@ class TestBoundedSubmission:
         plan = RunPlan(context=None,
                        specs=tuple(RunSpec(run_index=i) for i in range(n)))
         executor = ParallelExecutor(workers=2, chunk_size=8)
-        records = list(executor.map(plan))
+        records = _map(executor, plan)
         pool = _InstrumentedPool.last
         assert [r.run_index for r in records] == list(range(n))
         # Chunked dispatch: ceil(n / chunk_size) futures, not n.
@@ -458,23 +462,14 @@ class TestJsonlSchema:
 
 
 class TestSinksAndStreamedTallies:
-    def test_tally_sink_matches_from_records(self, tiny_nyx, bf_config):
-        campaign = Campaign(tiny_nyx, bf_config)
-        sink = TallySink()
-        records = execute_plan(campaign.plan(), sinks=[sink])
-        assert sink.tally == OutcomeTally.from_records(records)
-
     def test_error_bars_accept_streams(self, tiny_nyx, bf_config, tmp_path):
         path = str(tmp_path / "results.jsonl")
         result = Campaign(tiny_nyx, bf_config).run(results_path=path)
         from_tally = campaign_error_bars(result.tally)
         from_records = campaign_error_bars(iter(load_records(path)))
         assert from_tally == from_records
-        sink = TallySink()
-        for record in result.records:
-            sink.emit(record)
-        assert campaign_error_bars(sink) == from_tally
-        assert as_tally(sink) == result.tally
+        assert campaign_error_bars(result) == from_tally
+        assert as_tally(result) == result.tally
 
     def test_jsonl_sink_append_mode(self, tmp_path):
         path = str(tmp_path / "r.jsonl")

@@ -1,14 +1,13 @@
 """The capture-then-fork contract of the parallel executor.
 
-Three load-bearing properties of the PR:
+Three load-bearing properties:
 
 * **zero-pickle tasks** -- a task submission is a ``(start, stop)``
   index range whose pickle size is *independent* of how large the
-  golden images in the execution payload are.  Under ``fork`` nothing
-  but a registry token crosses the pipe at all; under spawn the payload
-  ships exactly once per worker through the initializer.
-* **start-method parity** -- fork, spawn, and serial execution produce
-  identical records for the same plan.
+  golden images in the execution payload are, and nothing but a
+  registry token crosses the pipe to initialize a worker.
+* **fork only** -- without the ``fork`` start method the pool refuses
+  to exist rather than pickling the payload to its workers.
 * **adaptive chunking** -- ``chunk_size=None`` spreads tiny plans
   across the workers and caps runaway chunks on huge ones.
 """
@@ -17,25 +16,19 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
-from repro.apps.nyx import FieldConfig, NyxApplication
-from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import executor as executor_module
-from repro.core.engine.executor import ParallelExecutor, SerialExecutor
+from repro.core.engine.executor import (
+    ParallelExecutor,
+    SerialExecutor,
+    make_executor,
+)
 from repro.errors import ConfigError
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-HAVE_SPAWN = "spawn" in multiprocessing.get_all_start_methods()
-
-
-def tiny_nyx() -> NyxApplication:
-    return NyxApplication(seed=7, field_config=FieldConfig(
-        shape=(12, 12, 12), n_halos=2, halo_amplitude=(800.0, 1500.0),
-        halo_radius=(0.6, 0.8)), min_cells=3)
 
 
 # -- zero-pickle task payloads ----------------------------------------------------
@@ -71,7 +64,7 @@ class _RecordingPool:
 
 
 class TestTaskPayloadSize:
-    def _sizes(self, monkeypatch, start_method, payload_bytes):
+    def _sizes(self, monkeypatch, payload_bytes):
         """Run 40 fake specs against a context holding *payload_bytes*
         of golden-image stand-in; return the recorded pickle sizes."""
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
@@ -79,64 +72,38 @@ class TestTaskPayloadSize:
         import repro.core.engine.runner as runner
         monkeypatch.setattr(runner, "execute_run_spec",
                             lambda context, spec: spec)
-        plan = SimpleNamespace(specs=list(range(40)),
-                               context={"golden_image": b"x" * payload_bytes})
-        executor = ParallelExecutor(workers=2, chunk_size=4,
-                                    start_method=start_method)
-        records = list(executor.map(plan))
-        assert records == plan.specs
+        contexts = {"cell": {"golden_image": b"x" * payload_bytes}}
+        items = [("cell", spec) for spec in range(40)]
+        executor = ParallelExecutor(workers=2, chunk_size=4)
+        records = list(executor.map_tagged(contexts, items))
+        assert records == items
         pool = _RecordingPool.last
         return pool.initargs_size, tuple(pool.submit_sizes)
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork not available")
     def test_fork_tasks_are_ranges_independent_of_image_size(
             self, monkeypatch):
-        init_small, tasks_small = self._sizes(monkeypatch, "fork", 10_000)
-        init_big, tasks_big = self._sizes(monkeypatch, "fork", 10_000_000)
+        init_small, tasks_small = self._sizes(monkeypatch, 10_000)
+        init_big, tasks_big = self._sizes(monkeypatch, 10_000_000)
         # Identical wire traffic for a 1000x larger golden image.
         assert (init_small, tasks_small) == (init_big, tasks_big)
         # Fork ships a registry token, never the payload.
         assert init_big < 256
         assert tasks_big and max(tasks_big) < 256
 
-    @pytest.mark.skipif(not HAVE_SPAWN, reason="spawn not available")
-    def test_spawn_ships_payload_once_and_tasks_stay_ranges(
-            self, monkeypatch):
-        init_small, tasks_small = self._sizes(monkeypatch, "spawn", 10_000)
-        init_big, tasks_big = self._sizes(monkeypatch, "spawn", 10_000_000)
-        # The payload rides the initializer (once per worker), so its
-        # size tracks the image...
-        assert init_small > 10_000
-        assert init_big > 10_000_000
-        # ...but task submissions are still constant-size ranges.
-        assert tasks_small == tasks_big
-        assert max(tasks_big) < 256
+
+# -- fork only --------------------------------------------------------------------
 
 
-# -- start-method parity ----------------------------------------------------------
-
-
-class TestStartMethodParity:
-    def plan(self):
-        campaign = Campaign(tiny_nyx(), CampaignConfig(
-            fault_model="DW", n_runs=6, seed=5))
-        return campaign.plan()
-
-    @pytest.mark.skipif(not (HAVE_FORK and HAVE_SPAWN),
-                        reason="needs both fork and spawn")
-    def test_fork_and_spawn_records_identical_to_serial(self):
-        plan = self.plan()
-        serial = list(SerialExecutor().map(plan))
-        fork = list(ParallelExecutor(
-            workers=2, start_method="fork").map(plan))
-        spawn = list(ParallelExecutor(
-            workers=2, start_method="spawn").map(plan))
-        assert fork == serial
-        assert spawn == serial
-
-    def test_unknown_start_method_is_config_error(self):
-        with pytest.raises(ConfigError, match="not available"):
-            ParallelExecutor(workers=2, start_method="no-such-method")
+class TestForkOnly:
+    def test_missing_fork_is_config_error(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        with pytest.raises(ConfigError, match="'fork'.*workers=1"):
+            ParallelExecutor(workers=2)
+        with pytest.raises(ConfigError, match="fork"):
+            make_executor(2)
+        assert isinstance(make_executor(1), SerialExecutor)
 
 
 # -- adaptive chunking ------------------------------------------------------------

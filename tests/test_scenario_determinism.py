@@ -24,8 +24,8 @@ from repro.apps.base import GoldenRecord, HpcApplication
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import (
+    SweepCell,
     SweepPlan,
-    execute_plan,
     execute_sweep,
     load_records,
     load_records_by_campaign,
@@ -133,10 +133,11 @@ def test_serial_parallel_fused_checkpoints_are_identical(
 
     paths = {name: str(tmp / f"{name}.jsonl")
              for name in ("serial", "parallel", "fused")}
-    serial = execute_plan(plan, workers=1, results_path=paths["serial"],
-                          campaign_id=campaign_id)
-    parallel = execute_plan(plan, workers=2, results_path=paths["parallel"],
-                            campaign_id=campaign_id)
+    solo = SweepPlan(cells=(SweepCell("plan", plan, campaign_id),))
+    serial = execute_sweep(solo, workers=1, results_path=paths["serial"]
+                           ).records["plan"]
+    parallel = execute_sweep(solo, workers=2, results_path=paths["parallel"]
+                             ).records["plan"]
     cache = ProfileGoldenCache()
     cache.profile(campaign.app, campaign.fs_factory,
                   campaign.signature.primitive, lambda: profile)
@@ -163,7 +164,9 @@ def test_records_round_trip_through_jsonl(tmp_path_factory, scenario, seed):
     tmp = tmp_path_factory.mktemp("rt")
     path = str(tmp / "r.jsonl")
     campaign = toy_campaign(scenario, "BF", seed, n_runs=2)
-    records = execute_plan(campaign.plan(), results_path=path)
+    records = execute_sweep(
+        SweepPlan(cells=(SweepCell("plan", campaign.plan()),)),
+        results_path=path).records["plan"]
     assert load_records(path) == records
 
 

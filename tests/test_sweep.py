@@ -304,79 +304,3 @@ class TestSweepCli:
         with pytest.raises(SystemExit):
             self.run_cli("run", "figure7", "--resume")
 
-
-class _RecordingSink:
-    """An extra sink that remembers the exact record stream it saw."""
-
-    def __init__(self):
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-    def close(self):
-        pass
-
-
-class TestResumedRecordsReachSinks:
-    """Regression: a resumed sweep must feed its previously-completed
-    records through every *extra* sink, in interleaved plan order.  A
-    tally over a resumed sweep used to see only the re-executed
-    remainder, silently undercounting every checkpointed run."""
-
-    def plan(self):
-        from tests.test_scenario_determinism import ToyApp
-
-        app = ToyApp()
-        cache = ProfileGoldenCache()
-        cells = []
-        for key, model in (("BF", "BF"), ("DW", "DW")):
-            campaign = Campaign(app, CampaignConfig(
-                fault_model=model, n_runs=4, seed=11))
-            cells.append(campaign.plan_cell(key, cache))
-        return SweepPlan(cells=tuple(cells))
-
-    def test_fully_resumed_sweep_still_tallies_every_run(self, tmp_path):
-        from repro.core.engine import TallySink
-        from repro.core.outcomes import OutcomeTally
-
-        path = str(tmp_path / "sweep.jsonl")
-        full = execute_sweep(self.plan(), results_path=path)
-        expected = OutcomeTally.from_records(
-            [r for records in full.records.values() for r in records])
-        sink = TallySink()
-        resumed = execute_sweep(self.plan(), results_path=path,
-                                resume=True, sinks=(sink,))
-        assert resumed.executed == 0
-        assert sink.tally == expected
-
-    def test_resumed_records_replay_in_plan_order(self, tmp_path):
-        reference = _RecordingSink()
-        execute_sweep(self.plan(),
-                      results_path=str(tmp_path / "ref.jsonl"),
-                      sinks=(reference,))
-        path = str(tmp_path / "sweep.jsonl")
-        execute_sweep(self.plan(), results_path=path)
-        replayed = _RecordingSink()
-        execute_sweep(self.plan(), results_path=path, resume=True,
-                      sinks=(replayed,))
-        assert replayed.records == reference.records
-
-    def test_partial_resume_tallies_old_and_new_runs(self, tmp_path):
-        from repro.core.engine import TallySink
-        from repro.core.outcomes import OutcomeTally
-
-        path = str(tmp_path / "sweep.jsonl")
-        full = execute_sweep(self.plan(), results_path=path)
-        expected = OutcomeTally.from_records(
-            [r for records in full.records.values() for r in records])
-        with open(path, "rb") as f:
-            lines = f.readlines()
-        with open(path, "wb") as f:
-            f.writelines(lines[:3])
-        sink = TallySink()
-        resumed = execute_sweep(self.plan(), results_path=path,
-                                resume=True, sinks=(sink,))
-        assert resumed.executed == len(lines) - 3
-        assert sink.tally == expected
-        assert resumed.records == full.records
