@@ -21,7 +21,6 @@ import time
 from repro.experiments.figure7 import (
     FAULT_MODELS,
     MONTAGE_STAGES,
-    run_figure7,
     run_figure7_cell,
 )
 from repro.experiments.params import (
@@ -30,6 +29,8 @@ from repro.experiments.params import (
     nyx_default,
     qmcpack_default,
 )
+from repro.study import Study
+from repro.study.registry import FIGURE7_APPS, figure7_spec
 
 #: Runs per cell.  Small enough that the 2-per-cell fault-free overhead
 #: the fusion deletes is a visible fraction of the total; the full-scale
@@ -59,7 +60,9 @@ def test_figure7_fused_sweep_beats_sequential_cells(benchmark, save_report,
     sequential_s = time.perf_counter() - start
 
     def fused_run():
-        return run_figure7(n_runs=RUNS, apps=apps)
+        return Study(figure7_spec(n_runs=RUNS),
+                     apps={app_id: apps[label]
+                           for label, app_id in FIGURE7_APPS}).run()
 
     start = time.perf_counter()
     fused = benchmark.pedantic(fused_run, rounds=1, iterations=1,
@@ -67,9 +70,9 @@ def test_figure7_fused_sweep_beats_sequential_cells(benchmark, save_report,
     fused_s = time.perf_counter() - start
 
     # Fusion changes cost, not science: every cell record-identical.
-    assert set(fused.cells) == set(sequential)
+    assert set(fused.keys()) == set(sequential)
     for label, cell in sequential.items():
-        assert fused.cells[label].records == cell.records
+        assert fused.cell(label) == cell.records
 
     n_cells = len(sequential)
     sequential_fault_free = n_cells              # golden capture per cell

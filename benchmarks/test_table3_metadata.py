@@ -7,16 +7,19 @@ the SDC-capable fields.
 """
 
 from repro.core.outcomes import Outcome
-from repro.experiments import run_table3
+from repro.experiments.table3 import field_examples
+from repro.study import Study, get_study
 
 from conftest import run_once
 
 
 def test_table3_metadata_classification(benchmark, save_report):
-    result = run_once(benchmark, run_table3)
-    save_report("table3", result.render())
+    definition = get_study("table3")
+    results = run_once(benchmark, Study(definition.build()).run)
+    save_report("table3", definition.render(results))
+    examples = field_examples(results.records())
 
-    tally = result.campaign.tally
+    tally = results.tally()
     assert tally.total > 2000                       # paper: 2,432 cases
 
     # Proportions: benign dominates, crash is a sizeable minority, SDC is
@@ -26,11 +29,11 @@ def test_table3_metadata_classification(benchmark, save_report):
     assert 0.0 < tally.rate(Outcome.SDC) < 0.02         # paper 0.2 %
 
     # The SDC-capable fields are the paper's set (Table III/IV).
-    sdc_fields = " | ".join(result.field_examples.get(Outcome.SDC, []))
+    sdc_fields = " | ".join(examples.get(Outcome.SDC, []))
     assert any(name in sdc_fields for name in
                ("Exponent Bias", "Mantissa", "Address of Raw Data"))
 
     # Benign cases are dominated by unused/reserved capacity, the paper's
     # explanation #1.
-    benign_fields = " | ".join(result.field_examples.get(Outcome.BENIGN, [])[:3])
+    benign_fields = " | ".join(examples.get(Outcome.BENIGN, [])[:3])
     assert "unused" in benign_fields or "reserved" in benign_fields.lower()

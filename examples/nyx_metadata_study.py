@@ -6,11 +6,12 @@
 3. The average-value detection + auto-correction methodology in action.
 """
 
-from repro.experiments import run_table3, run_table4
+from repro.experiments import run_table4
 from repro.experiments.params import nyx_small
 from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
 from repro.mhdf5.repair import diagnose_dataset, repair_file
+from repro.study import Study, get_study
 
 
 def metadata_sweep() -> None:
@@ -18,8 +19,9 @@ def metadata_sweep() -> None:
     print("Table III: byte-by-byte metadata corruption (stride 4 for speed;")
     print("           run the bench for the full per-byte sweep)")
     print("=" * 70)
-    result = run_table3(byte_stride=4)
-    print(result.render())
+    table3 = get_study("table3")
+    results = Study(table3.build(byte_stride=4)).run()
+    print(table3.render(results))
 
 
 def field_symptoms() -> None:

@@ -3,7 +3,9 @@
 Reproduces Fang et al., "Characterizing Impacts of Storage Faults on HPC
 Applications: A Methodology and Insights" (CLUSTER 2021).
 
-Public surface (stable; see the README's public-API policy):
+The stable public surface is what this module exports (``__all__``;
+see the README's public-API policy).  The subpackages it draws from are
+listed below; their other names are semver-exempt internals:
 
 * :mod:`repro.study`  -- the declarative Study API: a serializable
   :class:`StudySpec` compiled by :class:`Study` onto the fused campaign
@@ -17,7 +19,7 @@ Public surface (stable; see the README's public-API policy):
 * :mod:`repro.mfits`  -- the mini-FITS format for the Montage workload.
 * :mod:`repro.apps`   -- Nyx, QMCPACK, and Montage applications-under-test.
 * :mod:`repro.analysis` / :mod:`repro.experiments` -- statistics, table
-  rendering, and one driver per paper table/figure.
+  rendering, and the paper tables'/figures' drivers and renderers.
 
 Quickstart -- one campaign::
 
@@ -53,7 +55,7 @@ from typing import Dict, Tuple
 
 from repro.util.lazy import lazy_exports
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 #: Stable public name -> (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {

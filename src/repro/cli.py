@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``experiments``                   -- list the paper's tables/figures
-* ``run <experiment-id>``           -- run one reproduction driver
+* ``run <experiment-id>``           -- run one paper table/figure
 * ``study run|plan|describe``       -- declarative studies: registered
   ids (``figure7``, ``multifault``, ...), a TOML spec file, or inline
   ``--app/--model/--scenario`` axes
@@ -24,9 +24,10 @@ one fused sweep), so the engine knobs behave identically everywhere:
 ``--workers N`` fans runs out over a process pool (bit-identical to
 serial), ``--out F`` streams each record to a JSONL checkpoint, and
 ``--resume`` continues an interrupted execution from that file.  ``run``
-forwards the same knobs to the drivers whose registry entry declares
-them (e.g. ``repro run figure7 --workers 4 --out sweep.jsonl
---resume``).
+runs the grid experiments (``figure7``, ``multifault``, ``table3``) as
+their registered studies, so it takes all three knobs there (e.g.
+``repro run figure7 --workers 4 --out sweep.jsonl --resume``); the
+other experiments' drivers take only ``--workers``.
 
 Imports are deferred into the command handlers so ``repro --version``
 and ``--help`` never pay for numpy or the application stack.
@@ -281,18 +282,21 @@ def _cmd_experiments(out) -> int:
 
 def _cmd_run(args, parser, out) -> int:
     experiment = get_experiment(args.experiment)
-    kwargs = {"workers": args.workers}
     if args.resume and args.out is None:
         parser.error("--resume requires --out")
-    if args.out is not None:
-        if not experiment.accepts("results_path"):
-            parser.error(f"{experiment.id} runs no campaign sweep; "
-                         "--out/--resume do not apply")
-        kwargs["results_path"] = args.out
-        kwargs["resume"] = args.resume
+    if experiment.driver is not None and args.out is not None:
+        parser.error(f"{experiment.id} runs no campaign sweep; "
+                     "--out/--resume do not apply")
     print(f"running {experiment.id}: {experiment.description}", file=out)
-    result = experiment.resolve()(**kwargs)
-    print(result.render(), file=out)
+    if experiment.driver is not None:
+        print(experiment.resolve()(workers=args.workers).render(), file=out)
+        return 0
+    from repro.study import Study, get_study
+
+    definition = get_study(experiment.id)
+    results = Study(definition.build()).run(
+        workers=args.workers, results_path=args.out, resume=args.resume)
+    print(definition.render(results), file=out)
     return 0
 
 

@@ -1,39 +1,27 @@
-"""Figure 7 -- the full characterization grid, as a declarative study.
+"""Figure 7 -- the characterization grid's axes, paper rates, renderer.
 
 {NYX, QMC, MT1..MT4} x {BF, SW, DW} outcome breakdowns, the paper's
-headline result.  The grid is *data*: a registered
-:class:`~repro.study.spec.StudySpec` (see
-:func:`repro.study.registry.figure7_spec`) compiled through
-:class:`~repro.study.Study` onto the fused sweep engine -- each distinct
-application is profiled and golden-captured exactly once, every cell's
-specs interleave through one worker pool, and the whole grid checkpoints
-to one multiplexed JSONL file with sweep-level kill/resume.  Checkpoint
-lines are byte-identical to the pre-study driver (golden-fixture
-regression tested).  Campaign sizes follow ``REPRO_FI_RUNS``.
+headline result.  The grid itself is the registered study
+:func:`repro.study.registry.figure7_spec`, run as one fused sweep by
+``repro run figure7`` / ``repro study run figure7``: each distinct
+application is golden-captured once and the whole grid checkpoints to
+one multiplexed JSONL file with kill/resume.  Campaign sizes follow
+``REPRO_FI_RUNS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from repro.analysis.stats import TallySource
 from repro.analysis.tables import render_outcome_grid, render_table
 from repro.apps.base import HpcApplication
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.config import CampaignConfig
-from repro.core.engine import ProfileGoldenCache, SweepPlan
 from repro.experiments.params import default_runs
-from repro.fusefs.vfs import FFISFileSystem
-from repro.study.registry import FIGURE7_APPS
 
 FAULT_MODELS = ("BF", "SW", "DW")
 MONTAGE_STAGES = ("mProjExec", "mDiffExec", "mBgExec", "mAdd")
-
-#: Cell-label prefix -> study app registry id (the driver's ``apps``
-#: dict keys map onto these registry ids; one source of truth with the
-#: registered spec's application axis).
-APP_IDS = dict(FIGURE7_APPS)
 
 #: Paper Fig. 7 rates for the headline cells (approximate reads of the
 #: stacked bars and the surrounding text), for side-by-side reporting.
@@ -59,21 +47,6 @@ def render_figure7(cells: Mapping[str, TallySource]) -> str:
     return grid + "\n" + paper
 
 
-@dataclass
-class Figure7Result:
-    cells: Dict[str, CampaignResult] = field(default_factory=dict)
-    #: Fault-free application executions the fused sweep paid for
-    #: (profiles + golden captures; one pair per distinct app).
-    fault_free_runs: int = 0
-    elapsed_seconds: float = 0.0
-
-    def cell(self, label: str) -> CampaignResult:
-        return self.cells[label]
-
-    def render(self) -> str:
-        return render_figure7(self.cells)
-
-
 def run_figure7_cell(app: HpcApplication, fault_model: str,
                      n_runs: Optional[int] = None, seed: int = 1,
                      phase: Optional[str] = None,
@@ -83,71 +56,3 @@ def run_figure7_cell(app: HpcApplication, fault_model: str,
     config = CampaignConfig(fault_model=fault_model, n_runs=runs,
                             seed=seed, phase=phase, workers=workers)
     return Campaign(app, config).run()
-
-
-def _study_for(n_runs: Optional[int], seed: int,
-               include_montage_stages: bool,
-               apps: Optional[Dict[str, HpcApplication]],
-               fs_factory: Callable[[], FFISFileSystem],
-               cache: Optional[ProfileGoldenCache]):
-    from repro.errors import ConfigError
-    from repro.study import Study
-    from repro.study.registry import figure7_spec
-
-    if apps is not None:
-        unknown = sorted(set(apps) - set(APP_IDS))
-        if unknown:
-            raise ConfigError(
-                f"unknown figure7 app labels {unknown}; the grid's labels "
-                f"are {sorted(APP_IDS)}")
-    spec = figure7_spec(
-        n_runs=n_runs, seed=seed,
-        include_montage_stages=include_montage_stages,
-        app_labels=None if apps is None else tuple(apps))
-    overrides = None if apps is None else {
-        APP_IDS[label]: app for label, app in apps.items()}
-    return Study(spec, apps=overrides, fs_factory=fs_factory, cache=cache)
-
-
-def plan_figure7(n_runs: Optional[int] = None, seed: int = 1,
-                 include_montage_stages: bool = True,
-                 apps: Optional[Dict[str, HpcApplication]] = None,
-                 fs_factory: Callable[[], FFISFileSystem] = FFISFileSystem,
-                 cache: Optional[ProfileGoldenCache] = None,
-                 ) -> Tuple[SweepPlan, Dict[str, Campaign], ProfileGoldenCache]:
-    """The grid as a fused sweep plan (cells in the grid's label order).
-
-    Returns the plan plus the per-label campaigns and the shared cache,
-    so callers can reassemble :class:`CampaignResult` objects (and
-    their profile/golden) after execution without re-running anything.
-    """
-    study = _study_for(n_runs, seed, include_montage_stages, apps,
-                       fs_factory, cache)
-    plan = study.plan()
-    return plan.sweep, dict(plan.campaigns), plan.cache
-
-
-def run_figure7(n_runs: Optional[int] = None, seed: int = 1,
-                include_montage_stages: bool = True,
-                apps: Optional[Dict[str, HpcApplication]] = None,
-                workers: int = 1,
-                results_path: Optional[str] = None,
-                resume: bool = False,
-                fs_factory: Callable[[], FFISFileSystem] = FFISFileSystem,
-                progress: Optional[Callable[[int, int], None]] = None,
-                ) -> Figure7Result:
-    """Run the grid fused: one study execution instead of 18 campaigns.
-
-    ``results_path`` checkpoints the whole grid to one multiplexed
-    JSONL file and ``resume=True`` re-executes only the missing
-    (cell, run index) pairs of a killed sweep.
-    """
-    study = _study_for(n_runs, seed, include_montage_stages, apps,
-                       fs_factory, None)
-    plan = study.plan()
-    results = plan.execute(workers=workers, results_path=results_path,
-                           resume=resume, progress=progress)
-    result = Figure7Result(fault_free_runs=results.fault_free_runs,
-                           elapsed_seconds=results.elapsed_seconds)
-    result.cells = plan.campaign_results(results)
-    return result

@@ -5,21 +5,19 @@ halo-finder post-analysis, with per-field annotation from the writer's
 field map.  Paper reference: SDC 4 (0.2 %), benign 2085 (85.7 %), crash
 343 (14.1 %).
 
-The sweep is a registered declarative study
-(:func:`repro.study.registry.table3_spec`): a single metadata-kind
-target compiled through :class:`~repro.study.Study`, whose locate trace
-doubles as both the golden capture and the field-map harvest -- exactly
-one fault-free run, like any fused-sweep cell.
+The sweep is the registered study
+(:func:`repro.study.registry.table3_spec`), run by ``repro run table3``
+/ ``repro study run table3``: one metadata-kind target whose locate
+trace doubles as the golden capture and the field-map harvest.  This
+module keeps the paper's reference values and the renderer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.analysis.tables import render_table
 from repro.apps.nyx import NyxApplication
-from repro.core.metadata_campaign import MetadataCampaignResult
 from repro.core.outcomes import Outcome, OutcomeTally, RunRecord
 from repro.fusefs.mount import mount
 from repro.fusefs.vfs import FFISFileSystem
@@ -65,51 +63,9 @@ def render_table3_records(records: List[RunRecord]) -> str:
         rows, title="Table III: output classification of faulty metadata")
 
 
-@dataclass
-class Table3Result:
-    campaign: MetadataCampaignResult
-    field_examples: Dict[Outcome, List[str]] = field(default_factory=dict)
-
-    def rate(self, outcome: Outcome) -> float:
-        return self.campaign.tally.rate(outcome)
-
-    def render(self) -> str:
-        return render_table3_records(self.campaign.records)
-
-
 def fieldmap_for(app: NyxApplication):
     """Golden-run field map of the app's metadata write."""
     fs = FFISFileSystem()
     with mount(fs) as mp:
         app.execute(mp)
     return app.last_write_result.fieldmap
-
-
-def run_table3(app: Optional[NyxApplication] = None, byte_stride: int = 1,
-               seed: int = 0, workers: int = 1,
-               results_path: Optional[str] = None,
-               resume: bool = False) -> Table3Result:
-    """Sweep every ``byte_stride``-th metadata byte (1 == the paper's
-    exhaustive per-byte campaign, ~2.5k application runs).
-
-    The sweep is embarrassingly parallel: ``workers`` fans it out over
-    processes, and ``results_path``/``resume`` checkpoint it to JSONL
-    (byte-identical to the pre-study driver's checkpoints).
-    """
-    from repro.study import Study
-    from repro.study.registry import table3_spec
-
-    spec = table3_spec(byte_stride=byte_stride, seed=seed)
-    overrides = None if app is None else {"nyx-small": app}
-    plan = Study(spec, apps=overrides).plan()
-    results = plan.execute(workers=workers, results_path=results_path,
-                           resume=resume)
-    (cell,) = plan.cells
-    campaign = cell.planner
-    result = MetadataCampaignResult(
-        app_name=campaign.app.name, mode=campaign.mode,
-        records=results.cell(cell.key),
-        metadata=cell.metadata, fieldmap=campaign.fieldmap,
-        elapsed_seconds=results.elapsed_seconds)
-    return Table3Result(campaign=result,
-                        field_examples=field_examples(result.records))

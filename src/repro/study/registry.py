@@ -3,9 +3,10 @@
 Each entry pairs a :class:`~repro.study.spec.StudySpec` builder (pure
 data, environment-scaled when ``runs`` is left ``None``) with a render
 function from the uniform :class:`~repro.study.resultset.ResultSet` to
-the paper's table/grid text.  The grid-shaped experiment drivers
-(:mod:`repro.experiments.figure7` and friends) are thin wrappers over
-these declarations, and ``repro study run <id>`` executes them directly.
+the paper's table/grid text.  The figure7, multifault and table3
+experiments *are* these declarations: ``repro run <id>`` and ``repro
+study run <id>`` both build the spec here and run it through
+:class:`~repro.study.Study`.
 
 Builders import driver constants lazily so listing the registry stays
 import-cheap.
@@ -16,12 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.errors import ConfigError
 from repro.study.resultset import ResultSet
 from repro.study.spec import ModelSpec, ScenarioSpec, StudySpec, TargetSpec
 
 #: Fig. 7's application axis: cell-label prefix -> app registry id.
 FIGURE7_APPS: Tuple[Tuple[str, str], ...] = (
     ("NYX", "nyx"), ("QMC", "qmcpack"), ("MT", "montage"))
+
+#: Faults per run swept by the multifault grid; k=1 is the paper's baseline.
+K_VALUES = (1, 2, 4, 8)
 
 
 def figure7_spec(n_runs: Optional[int] = None, seed: int = 1,
@@ -32,11 +37,18 @@ def figure7_spec(n_runs: Optional[int] = None, seed: int = 1,
     Cell keys and enumeration order match the paper driver exactly
     (model-major: ``NYX-BF``, ``QMC-BF``, ``MT1-BF``..``MT4-BF``,
     then SW, then DW), which is what keeps its checkpoints
-    byte-identical across the declarative rewrite.
+    byte-identical across the declarative rewrite.  ``app_labels``
+    selects rows of the grid; a label outside :data:`FIGURE7_APPS` is a
+    :class:`ConfigError`.
     """
     from repro.experiments.figure7 import FAULT_MODELS, MONTAGE_STAGES
 
     wanted = None if app_labels is None else set(app_labels)
+    known = {label for label, _ in FIGURE7_APPS}
+    unknown = sorted((wanted or set()) - known)
+    if unknown:
+        raise ConfigError(f"unknown figure7 app labels {unknown}; the "
+                          f"grid's labels are {sorted(known)}")
     targets = []
     for label, app_id in FIGURE7_APPS:
         if wanted is not None and label not in wanted:
@@ -67,8 +79,6 @@ def multifault_spec(n_runs: Optional[int] = None, seed: int = 1,
     ``apps`` overrides the application axis as ``(label, app-id)``
     pairs (default: the paper's three workloads).
     """
-    from repro.experiments.multifault import K_VALUES
-
     ks = tuple(K_VALUES if k_values is None else k_values)
     pairs = tuple(FIGURE7_APPS if apps is None else apps)
     return StudySpec(

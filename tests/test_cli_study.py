@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.core.engine import load_records_by_campaign
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.study import StudySpec
+from repro.study import STUDIES, StudySpec
 
 
 def run_cli(*argv):
@@ -29,28 +29,29 @@ class TestLazyRegistry:
             "assert len(EXPERIMENTS) == 10\n"
             "heavy = [m for m in sys.modules if m in ("
             "'repro.experiments.figure7', 'repro.experiments.table3', "
-            "'repro.experiments.multifault', 'numpy')]\n"
+            "'repro.experiments.table4', 'numpy')]\n"
             "assert not heavy, heavy\n")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={"PYTHONPATH": "src"}, cwd=".")
 
     def test_driver_resolves_lazily(self):
-        from repro.experiments.multifault import run_multifault
+        from repro.experiments.table4 import run_table4
 
-        exp = EXPERIMENTS["multifault"]
-        assert exp.resolve() is run_multifault
-        assert exp.driver is run_multifault
+        exp = EXPERIMENTS["table4"]
+        assert exp.driver == "repro.experiments.table4:run_table4"
+        assert exp.resolve() is run_table4
 
     def test_every_registered_driver_resolves(self):
         for exp in EXPERIMENTS.values():
-            assert callable(exp.resolve()), exp.id
+            if exp.driver is not None:
+                assert callable(exp.resolve()), exp.id
 
-    def test_knob_declarations(self):
-        assert get_experiment("figure7").accepts("results_path")
-        assert get_experiment("table3").accepts("resume")
-        assert not get_experiment("table1").accepts("results_path")
-        for exp in EXPERIMENTS.values():
-            assert exp.accepts("workers")
+    def test_driverless_experiments_are_registered_studies(self):
+        """An experiment without a driver runs as the study of its id."""
+        driverless = {exp.id for exp in EXPERIMENTS.values()
+                      if exp.driver is None}
+        assert driverless == {"figure7", "multifault", "table3"}
+        assert driverless <= set(STUDIES)
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
@@ -212,3 +213,20 @@ class TestRebasedSubcommands:
     def test_run_out_rejected_for_knobless_driver(self):
         with pytest.raises(SystemExit):
             run_cli("run", "table4", "--out", "x.jsonl")
+
+    def test_run_is_the_registered_study(self, tmp_path):
+        """`repro run table3` and `repro study run table3` take one path:
+        the same checkpoint bytes, and the same report framed by the
+        run header instead of the study footer."""
+        run_path = tmp_path / "run.jsonl"
+        study_path = tmp_path / "study.jsonl"
+        code, run_text = run_cli("run", "table3", "--out", str(run_path))
+        assert code == 0
+        code, study_text = run_cli("study", "run", "table3",
+                                   "--out", str(study_path))
+        assert code == 0
+        assert run_path.read_bytes() == study_path.read_bytes()
+        *report, footer = study_text.splitlines(keepends=True)
+        assert footer.startswith("study: 1 cells")
+        header = f"running table3: {EXPERIMENTS['table3'].description}\n"
+        assert run_text == header + "".join(report)

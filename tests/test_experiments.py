@@ -16,10 +16,11 @@ from repro.experiments import (
     run_figure7_cell,
     run_figure8,
     run_table1,
-    run_table3,
     run_table4,
 )
 from repro.experiments.params import default_runs, nyx_small
+from repro.study import Study, get_study
+from repro.study.registry import table3_spec
 
 
 class TestRegistry:
@@ -64,11 +65,11 @@ class TestTable1:
 
 class TestTable3:
     def test_strided_sweep_shape(self):
-        result = run_table3(byte_stride=16)
-        tally = result.campaign.tally
+        results = Study(table3_spec(byte_stride=16)).run()
+        tally = results.tally()
         assert tally.rate(Outcome.BENIGN) > 0.6
         assert tally.rate(Outcome.CRASH) > 0.02
-        assert "Table III" in result.render()
+        assert "Table III" in get_study("table3").render(results)
 
 
 class TestTable4:
