@@ -41,11 +41,12 @@ Quickstart -- a declarative study (a grid of campaigns as data)::
     print(run_study(spec).render())
 
 Studies (and single campaigns) are embarrassingly parallel and
-restartable: ``workers`` fans runs out over a process pool
-(record-for-record identical to serial execution) and ``out``/``resume``
-checkpoint every completed run to a JSONL file.  The same engine backs
-the CLI (``python -m repro study run figure7 --workers 4 --out
-grid.jsonl --resume``) and every experiment driver.
+restartable.  Specs and configs only say what to inject; the execute
+call says how: ``run_study(spec, workers=4, results_path="grid.jsonl",
+resume=True)`` fans runs out over a process pool (record-for-record
+identical to serial execution) and checkpoints every completed run to
+a JSONL file.  The same engine backs the CLI (``python -m repro study
+run figure7 --workers 4 --out grid.jsonl --resume``).
 
 Names are resolved lazily (PEP 562), so ``import repro`` -- and
 ``repro --version`` -- stay cheap until something is used.
@@ -55,7 +56,7 @@ from typing import Dict, Tuple
 
 from repro.util.lazy import lazy_exports
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 #: Stable public name -> (module, attribute).
 _EXPORTS: Dict[str, Tuple[str, str]] = {

@@ -23,11 +23,13 @@ declarative Study path (one :class:`~repro.study.StudySpec` executed as
 one fused sweep), so the engine knobs behave identically everywhere:
 ``--workers N`` fans runs out over a process pool (bit-identical to
 serial), ``--out F`` streams each record to a JSONL checkpoint, and
-``--resume`` continues an interrupted execution from that file.  ``run``
-runs the grid experiments (``figure7``, ``multifault``, ``table3``) as
-their registered studies, so it takes all three knobs there (e.g.
-``repro run figure7 --workers 4 --out sweep.jsonl --resume``); the
-other experiments' drivers take only ``--workers``.
+``--resume`` continues an interrupted execution from that file.  The
+flags go straight to the execute call; a study spec never carries them.
+``run`` runs the grid experiments (``figure7``, ``multifault``,
+``table3``) as their registered studies, so it takes all three knobs
+there (e.g. ``repro run figure7 --workers 4 --out sweep.jsonl
+--resume``); the other experiments' drivers run serially and reject
+them.
 
 Imports are deferred into the command handlers so ``repro --version``
 and ``--help`` never pay for numpy or the application stack.
@@ -123,7 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", choices=sorted(EXPERIMENTS),
                      help="experiment id (e.g. table3, figure7)")
     run.add_argument("--workers", type=_positive_int, default=1,
-                     help="worker processes for the driver's campaigns")
+                     help="worker processes for the experiment's sweep "
+                          "(experiments with campaign sweeps only; "
+                          "default 1)")
     run.add_argument("--out", default=None, metavar="RESULTS.jsonl",
                      help="checkpoint the driver's sweep to this JSONL "
                           "file (drivers with campaign sweeps only)")
@@ -154,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="runs per cell (default: the spec's, or the "
                             "REPRO_FI_RUNS-scaled experiment default)")
         if name == "run":
-            p.add_argument("--workers", type=_positive_int, default=None,
-                           help="worker processes (default: the spec's)")
+            p.add_argument("--workers", type=_positive_int, default=1,
+                           help="worker processes (default 1)")
             p.add_argument("--hosts", type=_positive_int, default=None,
                            help="> 1 runs the study through the lease-queue "
                                 "distributed engine with this many forked "
@@ -284,12 +288,13 @@ def _cmd_run(args, parser, out) -> int:
     experiment = get_experiment(args.experiment)
     if args.resume and args.out is None:
         parser.error("--resume requires --out")
-    if experiment.driver is not None and args.out is not None:
+    if experiment.driver is not None and (args.out is not None
+                                          or args.workers > 1):
         parser.error(f"{experiment.id} runs no campaign sweep; "
-                     "--out/--resume do not apply")
+                     "--workers/--out/--resume do not apply")
     print(f"running {experiment.id}: {experiment.description}", file=out)
     if experiment.driver is not None:
-        print(experiment.resolve()(workers=args.workers).render(), file=out)
+        print(experiment.resolve()().render(), file=out)
         return 0
     from repro.study import Study, get_study
 
@@ -362,12 +367,10 @@ def _resolve_study(args, parser):
                                          for t in spec.targets):
         parser.error("--runs applies to fault campaigns; a metadata "
                      "sweep's size is the blob size / stride")
+    if getattr(args, "resume", False) and args.out is None:
+        parser.error("--resume requires --out")
     try:
-        spec = spec.with_knobs(
-            runs=args.runs, seed=args.seed,
-            workers=getattr(args, "workers", None),
-            out=getattr(args, "out", None),
-            resume=True if getattr(args, "resume", False) else None)
+        spec = spec.with_knobs(runs=args.runs, seed=args.seed)
     except ConfigError as exc:
         parser.error(str(exc))
     return spec, render
@@ -412,7 +415,7 @@ def _cmd_study(args, parser, out) -> int:
         results = serve_study(
             plan, args.queue, lease_runs=args.lease_runs,
             lease_ttl=args.lease_ttl, hosts=args.hosts,
-            results_path=spec.out, resume=bool(spec.resume),
+            results_path=args.out, resume=args.resume,
             timeout=args.timeout, progress=_changed_only(_report),
             **serve_knobs)
         print(render(results) if render is not None else results.render(),
@@ -423,8 +426,9 @@ def _cmd_study(args, parser, out) -> int:
     if getattr(args, "quarantine_after", None) is not None:
         run_knobs["quarantine_after"] = args.quarantine_after
     try:
-        results = Study(spec).run(hosts=args.hosts, queue_root=args.queue,
-                                  **run_knobs)
+        results = Study(spec).run(
+            workers=args.workers, results_path=args.out, resume=args.resume,
+            hosts=args.hosts, queue_root=args.queue, **run_knobs)
     except ConfigError as exc:
         parser.error(str(exc))
     print(render(results) if render is not None else results.render(),
@@ -464,10 +468,9 @@ def _cmd_sweep(args, parser, out) -> int:
         parser.error("--resume requires --out")
     from repro.study import Study
 
-    spec = _inline_spec(args, parser).with_knobs(
-        runs=args.runs, workers=args.workers, out=args.out,
-        resume=True if args.resume else None)
-    results = Study(spec).run()
+    spec = _inline_spec(args, parser).with_knobs(runs=args.runs)
+    results = Study(spec).run(workers=args.workers, results_path=args.out,
+                              resume=args.resume)
     print(results.summary(), file=out)
     return 0
 

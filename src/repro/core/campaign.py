@@ -60,12 +60,10 @@ class InjectionContext(ExecutionContext):
     def __init__(self, app: HpcApplication, golden: GoldenRecord,
                  signature: FaultSignature,
                  fs_factory: FsFactory = FFISFileSystem,
-                 scenario: Optional[FaultScenario] = None,
-                 replay: Optional[bool] = None) -> None:
+                 scenario: Optional[FaultScenario] = None) -> None:
         super().__init__(app, golden, fs_factory)
         self.signature = signature
         self.scenario = scenario if scenario is not None else SingleFault()
-        self.replay = replay
 
     def arm(self, fs: FFISFileSystem, spec: RunSpec) -> ArmedHook:
         return self.scenario.arm(fs, self.signature, spec)
@@ -151,16 +149,14 @@ class Campaign:
                  run_index: int, golden: GoldenRecord) -> RunRecord:
         """One injection run at a fixed instance (exposed for tests)."""
         context = InjectionContext(self.app, golden, self.signature,
-                                   self.fs_factory,
-                                   replay=self.config.replay)
+                                   self.fs_factory)
         spec = RunSpec(run_index=run_index, seed=run_rng_seed,
                        target_instance=instance, phase=self.config.phase)
         return execute_run_spec(context, spec)
 
     # -- planning ---------------------------------------------------------------
 
-    def plan(self, n_runs: Optional[int] = None,
-             profile: Optional[ProfileResult] = None,
+    def plan(self, profile: Optional[ProfileResult] = None,
              golden: Optional[GoldenRecord] = None) -> RunPlan:
         """The declarative run plan: instance picks and per-run seeds.
 
@@ -169,7 +165,6 @@ class Campaign:
         therefore the records, under any executor -- depends only on the
         configuration.
         """
-        n = n_runs if n_runs is not None else self.config.n_runs
         golden = golden if golden is not None else self.capture_golden()
         profile = profile if profile is not None \
             else self.profile_from_golden(golden)
@@ -183,7 +178,7 @@ class Campaign:
                            self.signature.model.name, self.config.phase or "all")
         picker = stream.child("instances").generator()
         specs = []
-        for i in range(n):
+        for i in range(self.config.n_runs):
             points = scenario.pick(picker, window)
             common = dict(run_index=i, seed=stream.child("run", i).seed,
                           target_instance=points[0] if points else -1,
@@ -197,8 +192,7 @@ class Campaign:
                 specs.append(RunSpec(instances=points,
                                      scenario=scenario.stamp(), **common))
         context = InjectionContext(self.app, golden, self.signature,
-                                   self.fs_factory, scenario,
-                                   replay=self.config.replay)
+                                   self.fs_factory, scenario)
         return RunPlan(context=context, specs=tuple(specs))
 
     def campaign_id(self, golden: GoldenRecord) -> str:
@@ -218,8 +212,7 @@ class Campaign:
             return base
         return f"{base}/scenario={self.scenario.stamp()}"
 
-    def plan_cell(self, key: str, cache: ProfileGoldenCache,
-                  n_runs: Optional[int] = None) -> SweepCell:
+    def plan_cell(self, key: str, cache: ProfileGoldenCache) -> SweepCell:
         """This campaign as one cell of a fused sweep.
 
         Plans against the sweep's shared golden cache, so however many
@@ -231,33 +224,28 @@ class Campaign:
         profile = cache.derived_profile(
             self.app, self.fs_factory, self.signature.primitive,
             lambda: self.profile_from_golden(golden))
-        plan = self.plan(n_runs, profile=profile, golden=golden)
+        plan = self.plan(profile=profile, golden=golden)
         return SweepCell(key=key, plan=plan,
                          campaign_id=self.campaign_id(golden))
 
     # -- the campaign -----------------------------------------------------------------
 
-    def run(self, n_runs: Optional[int] = None,
-            progress: Optional[Callable[[int, int], None]] = None,
-            workers: Optional[int] = None,
+    def run(self, *, progress: Optional[Callable[[int, int], None]] = None,
+            workers: int = 1,
             results_path: Optional[str] = None,
-            resume: Optional[bool] = None) -> CampaignResult:
-        """Execute the plan; keyword arguments override the config knobs."""
+            resume: bool = False) -> CampaignResult:
+        """Execute the plan as a one-cell sweep (see :func:`execute_sweep`
+        for the execution knobs)."""
         # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
         start = time.perf_counter()
         golden = self.capture_golden()
         profile = self.profile_from_golden(golden)
         cell = SweepCell(key="campaign",
-                         plan=self.plan(n_runs, profile=profile,
-                                        golden=golden),
+                         plan=self.plan(profile=profile, golden=golden),
                          campaign_id=self.campaign_id(golden))
         sweep = execute_sweep(
             SweepPlan(cells=(cell,)),
-            workers=self.config.workers if workers is None else workers,
-            chunk_size=self.config.chunk_size,
-            results_path=(self.config.results_path if results_path is None
-                          else results_path),
-            resume=self.config.resume if resume is None else resume,
+            workers=workers, results_path=results_path, resume=resume,
             progress=progress)
         result = CampaignResult(app_name=self.app.name,
                                 signature=str(self.signature),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Union
 
 from repro.core.fault_models import make_fault_model
@@ -27,12 +27,10 @@ class CampaignConfig:
     ``"decay:bytes=8"``).  ``None``/``"single"`` is the paper's
     single-fault model, bit-identical to the pre-scenario engine.
 
-    The execution knobs map onto the campaign engine: ``workers`` > 1
-    fans the runs out over a process pool (bit-identical to serial),
-    ``chunk_size`` sets how many runs each pool task spans (``None``
-    picks ``max(1, n_runs // (workers * 4))``, capped), ``results_path``
-    streams each record to a JSONL checkpoint, and ``resume`` skips run
-    indices already present in that file.
+    The config says *what* to inject, never how to execute it: the
+    execution knobs (``workers``, ``results_path``, ``resume``) are
+    arguments of :meth:`repro.core.campaign.Campaign.run`, and prefix
+    replay is switched off only by ``REPRO_NO_REPLAY``.
     """
 
     fault_model: str = "BF"
@@ -42,26 +40,11 @@ class CampaignConfig:
     seed: int = 0
     phase: Optional[str] = None
     scenario: Union[None, str, FaultScenario] = None
-    workers: int = 1
-    chunk_size: Optional[int] = None
-    results_path: Optional[str] = None
-    resume: bool = False
-    #: Prefix-replay switch: ``None`` defers to the engine default
-    #: (on, unless ``REPRO_NO_REPLAY`` is set), ``False`` forces every
-    #: run to execute cold from an empty file system.
-    replay: Optional[bool] = None
 
     def __post_init__(self) -> None:
         self.scenario = as_scenario(self.scenario)
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError(
-                f"chunk_size must be >= 1 or None, got {self.chunk_size}")
-        if self.resume and self.results_path is None:
-            raise ConfigError("resume=True requires results_path")
 
     def signature(self) -> FaultSignature:
         model = make_fault_model(self.fault_model, **self.model_params)
@@ -74,9 +57,7 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "CampaignConfig":
-        known = {"fault_model", "model_params", "primitive", "n_runs",
-                 "seed", "phase", "scenario", "workers", "chunk_size",
-                 "results_path", "resume", "replay"}
+        known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")

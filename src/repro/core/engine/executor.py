@@ -181,11 +181,10 @@ class ParallelExecutor(Executor):
                 f"chunk_size={self.chunk_size})")
 
 
-def make_executor(workers: int,
-                  chunk_size: Optional[int] = None) -> Executor:
+def make_executor(workers: int) -> Executor:
     """The default backend for a worker count (1 == serial)."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return SerialExecutor()
-    return ParallelExecutor(workers, chunk_size=chunk_size)
+    return ParallelExecutor(workers)

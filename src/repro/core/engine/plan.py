@@ -14,7 +14,6 @@ the two execution styles produce record-for-record identical outcomes.
 from __future__ import annotations
 
 import hashlib
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Protocol, Tuple
@@ -99,11 +98,6 @@ class ExecutionContext(ABC):
     #: truth lives in ``RunRecord.fault_fired``).
     not_fired_note: str = "[warning: fault never fired]"
 
-    #: Prefix-replay switch: ``None`` defers to the engine default
-    #: (enabled unless the ``REPRO_NO_REPLAY`` environment variable is
-    #: set -- the universal escape hatch), ``False`` forces cold runs.
-    replay: Optional[bool] = None
-
     def __init__(self, app: HpcApplication, golden: GoldenRecord,
                  fs_factory: FsFactory = FFISFileSystem) -> None:
         self.app = app
@@ -113,12 +107,6 @@ class ExecutionContext(ABC):
     @abstractmethod
     def arm(self, fs: FFISFileSystem, spec: RunSpec) -> ArmedHook:
         """Attach this plan's corruption hook for *spec* to a fresh fs."""
-
-    @property
-    def replay_enabled(self) -> bool:
-        if self.replay is not None:
-            return self.replay
-        return not os.environ.get("REPRO_NO_REPLAY")
 
     def replay_constraint(self, spec: RunSpec):
         """The spec's :class:`repro.core.engine.replay.ReplayConstraint`.

@@ -43,12 +43,20 @@ byte-identical by the determinism guard in CI.
 from __future__ import annotations
 
 import dataclasses
+import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.apps.base import ReplayImage, StepTrace
 from repro.fusefs.vfs import FFISFileSystem
+
+
+def replay_enabled() -> bool:
+    """Prefix replay is on unless ``REPRO_NO_REPLAY`` is set -- the one
+    switch (``--no-replay`` sets it for a CLI invocation).  Read per
+    run, so forked workers follow the parent's setting."""
+    return not os.environ.get("REPRO_NO_REPLAY")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +108,7 @@ def replay_boundary(context, spec) -> int:
     ``fs.supports_snapshots`` -- only turns every run cold, where the
     ordering is harmless.
     """
-    if not context.replay_enabled:
+    if not replay_enabled():
         return -1
     image = getattr(context.golden, "replay", None)
     if image is None:
@@ -267,7 +275,7 @@ def try_replay_execute(context, spec, fs: FFISFileSystem, mp) -> bool:
     replay image on the golden record, no scenario constraint, or
     replay disabled -- in which case the caller runs cold.
     """
-    if not context.replay_enabled:
+    if not replay_enabled():
         return False
     image = getattr(context.golden, "replay", None)
     if image is None:

@@ -31,9 +31,29 @@ from repro.errors import FFISError
 #: schema; v2 adds the multi-fault ``scenario``/``instances`` stamp.
 SCHEMA_VERSION = 2
 
-_RECORD_KEYS = ("v", "run_index", "outcome", "target_instance", "phase",
-                "detail", "byte_offset", "bit_index", "field_name",
-                "fault_fired", "instances", "scenario")
+_REQUIRED = object()
+_NULL = type(None)
+
+#: The record keys of one checkpoint line, shared by the writer and the
+#: reader: each key's accepted JSON types (matched exactly, so a bool is
+#: not an int) and the value an absent key decodes to (``_REQUIRED``:
+#: the key must be present).  :data:`_V2_KEYS` are written only for
+#: scenario-stamped records.
+_RECORD_SCHEMA: Dict[str, Tuple[Tuple[type, ...], Any]] = {
+    "run_index": ((int,), _REQUIRED),
+    "outcome": ((str,), _REQUIRED),
+    "target_instance": ((int,), -1),
+    "phase": ((str, _NULL), None),
+    "detail": ((str,), ""),
+    "byte_offset": ((int, _NULL), None),
+    "bit_index": ((int, _NULL), None),
+    "field_name": ((str, _NULL), None),
+    "fault_fired": ((bool,), True),
+    "instances": ((list, _NULL), None),
+    "scenario": ((str, _NULL), None),
+}
+_V2_KEYS = ("instances", "scenario")
+_V1_KEYS = tuple(key for key in _RECORD_SCHEMA if key not in _V2_KEYS)
 
 
 def record_to_json(record: RunRecord) -> Dict[str, Any]:
@@ -45,18 +65,9 @@ def record_to_json(record: RunRecord) -> Dict[str, Any]:
     golden-fixture compatibility tests compare whole files), and only
     scenario-stamped records carry the v2 keys.
     """
-    raw = {
-        "v": 1,
-        "run_index": record.run_index,
-        "outcome": record.outcome.value,
-        "target_instance": record.target_instance,
-        "phase": record.phase,
-        "detail": record.detail,
-        "byte_offset": record.byte_offset,
-        "bit_index": record.bit_index,
-        "field_name": record.field_name,
-        "fault_fired": record.fault_fired,
-    }
+    raw: Dict[str, Any] = {key: getattr(record, key) for key in _V1_KEYS}
+    raw["outcome"] = record.outcome.value
+    raw["v"] = 1
     if record.scenario is not None or record.instances is not None:
         raw["v"] = 2
         raw["scenario"] = record.scenario
@@ -82,34 +93,47 @@ def format_stamped_line(record: RunRecord,
 
 
 def record_from_json(raw: Dict[str, Any]) -> RunRecord:
+    """Decode one checkpoint line; a missing required key raises
+    :class:`KeyError`, a value of the wrong type a :class:`ValueError`
+    naming its field."""
     version = raw.get("v", SCHEMA_VERSION)
+    if type(version) is not int:
+        raise ValueError(f"field 'v' must be int, got {version!r}")
     if version > SCHEMA_VERSION:
         raise FFISError(
             f"results file uses schema v{version}; this build reads up to "
             f"v{SCHEMA_VERSION}")
-    instances = raw.get("instances")
-    return RunRecord(
-        run_index=int(raw["run_index"]),
-        outcome=Outcome(raw["outcome"]),
-        target_instance=int(raw.get("target_instance", -1)),
-        phase=raw.get("phase"),
-        detail=raw.get("detail", ""),
-        byte_offset=raw.get("byte_offset"),
-        bit_index=raw.get("bit_index"),
-        field_name=raw.get("field_name"),
-        fault_fired=bool(raw.get("fault_fired", True)),
-        instances=None if instances is None
-        else tuple(int(i) for i in instances),
-        scenario=raw.get("scenario"),
-    )
+    values: Dict[str, Any] = {}
+    for key, (types, default) in _RECORD_SCHEMA.items():
+        if key in raw:
+            value = raw[key]
+            if type(value) not in types:
+                expected = " or ".join("null" if t is _NULL else t.__name__
+                                       for t in types)
+                raise ValueError(
+                    f"field {key!r} must be {expected}, got {value!r}")
+        elif default is _REQUIRED:
+            raise KeyError(key)
+        else:
+            value = default
+        values[key] = value
+    values["outcome"] = Outcome(values["outcome"])
+    instances = values["instances"]
+    if instances is not None:
+        if any(type(i) is not int for i in instances):
+            raise ValueError(
+                f"field 'instances' must hold ints, got {instances!r}")
+        values["instances"] = tuple(instances)
+    return RunRecord(**values)
 
 
-def _iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRecord]]:
+def iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRecord]]:
     """Yield ``(lineno, campaign_stamp, record)`` for every results line.
 
     The file is streamed line by line -- this is the module's O(1)-in-
     file-size contract, and what keeps million-run resumes (and shard
-    merges) from loading a whole checkpoint into memory at once.
+    merges, and both ``load_records`` variants) from loading a whole
+    checkpoint into memory at once.
 
     A truncated final line is dropped only when the file lacks a
     trailing newline -- that is the one case where the writer was
@@ -139,16 +163,6 @@ def _iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRe
             yield lineno, raw.get("campaign"), record
 
 
-def iter_stamped_records(path: str) -> Iterator[Tuple[int, Optional[str], RunRecord]]:
-    """Public streaming reader over a stamped JSONL results file.
-
-    Yields ``(lineno, campaign_stamp, record)`` without ever holding
-    more than one line in memory; the building block the distributed
-    shard merger and both ``load_records`` variants share.
-    """
-    return _iter_stamped_records(path)
-
-
 def load_records(path: str, campaign_id: Optional[str] = None) -> List[RunRecord]:
     """Read a JSONL results file back into records.
 
@@ -160,7 +174,7 @@ def load_records(path: str, campaign_id: Optional[str] = None) -> List[RunRecord
     Unstamped lines (written by bare sinks) are accepted as-is.
     """
     records: List[RunRecord] = []
-    for lineno, stamped, record in _iter_stamped_records(path):
+    for lineno, stamped, record in iter_stamped_records(path):
         if campaign_id is not None and stamped is not None \
                 and stamped != campaign_id:
             raise FFISError(
@@ -175,7 +189,7 @@ def load_records_by_campaign(path: str) -> Dict[Optional[str], List[RunRecord]]:
     """Records of a multiplexed sweep checkpoint, grouped by their
     per-line campaign stamp (``None`` groups unstamped legacy lines)."""
     groups: Dict[Optional[str], List[RunRecord]] = {}
-    for _, stamped, record in _iter_stamped_records(path):
+    for _, stamped, record in iter_stamped_records(path):
         groups.setdefault(stamped, []).append(record)
     return groups
 
@@ -200,7 +214,7 @@ def merge_shard_records(
     for path in sorted(paths):
         if not os.path.exists(path):
             continue
-        for _, stamped, record in _iter_stamped_records(path):
+        for _, stamped, record in iter_stamped_records(path):
             cell = groups.setdefault(stamped, {})
             if record.run_index in cell:
                 duplicates += 1

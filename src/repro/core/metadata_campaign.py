@@ -142,17 +142,14 @@ class MetadataCampaign:
 
     def __init__(self, app: HpcApplication, fieldmap: Optional[FieldMap] = None,
                  fs_factory: FsFactory = FFISFileSystem, seed: int = 0,
-                 mode: str = "random-bit", workers: int = 1) -> None:
+                 mode: str = "random-bit") -> None:
         if mode not in ("random-bit", "all-bits", "targeted"):
             raise FFISError(f"unknown metadata campaign mode {mode!r}")
-        if workers < 1:
-            raise FFISError(f"workers must be >= 1, got {workers}")
         self.app = app
         self.fieldmap = fieldmap
         self.fs_factory = fs_factory
         self.seed = seed
         self.mode = mode
-        self.workers = workers
 
     # -- discovery ---------------------------------------------------------------
 
@@ -279,33 +276,25 @@ class MetadataCampaign:
 
     # -- the sweep -----------------------------------------------------------------
 
-    def run(self, byte_stride: int = 1,
+    def run(self, byte_stride: int = 1, *,
             progress: Optional[Callable[[int, int], None]] = None,
-            workers: Optional[int] = None,
+            workers: int = 1,
             results_path: Optional[str] = None,
-            resume: bool = False,
-            located: Optional[Tuple[MetadataWriteInfo, GoldenRecord]] = None,
-            ) -> MetadataCampaignResult:
+            resume: bool = False) -> MetadataCampaignResult:
         """Sweep the metadata bytes (every ``byte_stride``-th byte).
 
         ``random-bit`` flips one seed-derived bit per byte (one case per
         byte, the paper's case count); ``all-bits`` runs all 8 bits.
-        Pass ``located`` to reuse an earlier :meth:`locate_metadata_write`
-        (e.g. after harvesting the writer's field map from that run)
-        instead of tracing the application again.
         """
         # repro: allow[R001] elapsed_seconds is reporting-only, never recorded
         start = time.perf_counter()
-        info, golden = located if located is not None \
-            else self.locate_metadata_write()
+        info, golden = self.locate_metadata_write()
         cell = SweepCell(key="metadata",
                          plan=self.plan(byte_stride, located=(info, golden)),
                          campaign_id=self.campaign_id(byte_stride, golden))
         sweep = execute_sweep(
             SweepPlan(cells=(cell,)),
-            workers=self.workers if workers is None else workers,
-            results_path=results_path,
-            resume=resume,
+            workers=workers, results_path=results_path, resume=resume,
             progress=progress)
         result = MetadataCampaignResult(app_name=self.app.name, mode=self.mode,
                                         records=sweep.records[cell.key],

@@ -51,13 +51,11 @@ def _decode_with_bit(app: NyxApplication, info, byte_offset: int, bit: int) -> n
 
 
 def run_figure5(app: Optional[NyxApplication] = None,
-                bias_bit: int = 3, ard_bit: int = 5,
-                workers: int = 1) -> Figure5Result:
-    """``workers`` is part of the uniform driver interface; this figure
-    decodes two targeted corruptions, serially."""
+                bias_bit: int = 3, ard_bit: int = 5) -> Figure5Result:
+    """Decode two targeted metadata corruptions (one run each)."""
     if app is None:
         app = nyx_default()
-    campaign = MetadataCampaign(app, workers=workers)
+    campaign = MetadataCampaign(app)
     info, _ = campaign.locate_metadata_write()
     fieldmap = app.last_write_result.fieldmap
 

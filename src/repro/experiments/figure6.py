@@ -37,13 +37,12 @@ class Figure6Result:
         )
 
 
-def run_figure6(app: Optional[NyxApplication] = None, bit: int = 1,
-                workers: int = 1) -> Figure6Result:
-    """``workers`` is part of the uniform driver interface; this figure
-    decodes one targeted corruption, serially."""
+def run_figure6(app: Optional[NyxApplication] = None,
+                bit: int = 1) -> Figure6Result:
+    """Decode one targeted Mantissa Size corruption (one run)."""
     if app is None:
         app = nyx_default()
-    campaign = MetadataCampaign(app, workers=workers)
+    campaign = MetadataCampaign(app)
     info, _ = campaign.locate_metadata_write()
     fieldmap = app.last_write_result.fieldmap
     span = next(s for s in fieldmap if "Mantissa Size" in s.name)

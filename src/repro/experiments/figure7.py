@@ -49,10 +49,9 @@ def render_figure7(cells: Mapping[str, TallySource]) -> str:
 
 def run_figure7_cell(app: HpcApplication, fault_model: str,
                      n_runs: Optional[int] = None, seed: int = 1,
-                     phase: Optional[str] = None,
-                     workers: int = 1) -> CampaignResult:
+                     phase: Optional[str] = None) -> CampaignResult:
     """One cell of the grid (exposed for benches that time single cells)."""
     runs = n_runs if n_runs is not None else default_runs()
     config = CampaignConfig(fault_model=fault_model, n_runs=runs,
-                            seed=seed, phase=phase, workers=workers)
+                            seed=seed, phase=phase)
     return Campaign(app, config).run()

@@ -46,18 +46,16 @@ class Figure9Result:
 
 
 def run_figure9(app: Optional[MontageApplication] = None,
-                seed: int = 9, max_tries: int = 64,
-                workers: int = 1) -> Figure9Result:
+                seed: int = 9, max_tries: int = 64) -> Figure9Result:
     """Find a dropped mAdd write that produces the black-stripe artifact.
 
     The search stops at the first qualifying instance, so it stays
-    serial; ``workers`` is part of the uniform driver interface.
+    serial.
     """
     if app is None:
         app = montage_default()
     campaign = Campaign(app, CampaignConfig(fault_model="DW", n_runs=1,
-                                            seed=seed, phase="mAdd",
-                                            workers=workers))
+                                            seed=seed, phase="mAdd"))
     profile = campaign.profile()
     golden = campaign.capture_golden()
     window = profile.window("mAdd")

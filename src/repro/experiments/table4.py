@@ -151,13 +151,11 @@ def symptoms(label: str, golden: HaloCatalog, faulty: HaloCatalog) -> Table4Row:
                      average_value=average)
 
 
-def run_table4(app: Optional[NyxApplication] = None,
-               workers: int = 1) -> Table4Result:
-    """``workers`` is part of the uniform driver interface; this table
-    runs one targeted corruption per field, serially."""
+def run_table4(app: Optional[NyxApplication] = None) -> Table4Result:
+    """Run one targeted corruption per field, serially."""
     if app is None:
         app = nyx_default()
-    campaign = MetadataCampaign(app, workers=workers)
+    campaign = MetadataCampaign(app)
     info, golden_record = campaign.locate_metadata_write()
     fieldmap = app.last_write_result.fieldmap
     golden_catalog = app.find_halos(app.rho.astype(np.float64))

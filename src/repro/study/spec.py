@@ -2,12 +2,15 @@
 
 A :class:`StudySpec` is the single description of a paper-style study --
 a grid of (application targets) x (fault models) x (fault scenarios)
-campaigns plus the engine knobs -- as *pure data*: every field is a
-scalar, a tuple, or a nested spec of scalars, so a spec round-trips
+campaigns plus its scale (runs, seed) -- as *pure data*: every field is
+a scalar, a tuple, or a nested spec of scalars, so a spec round-trips
 through ``dict`` and TOML losslessly and two equal specs plan identical
-studies.  Compilation to the campaign engine lives in
-:mod:`repro.study.study`; this module is dependency-light by design so
-loading and validating specs never imports an application.
+studies.  How to execute a study (workers, checkpoint file, resume,
+hosts) is never part of the spec: those are arguments of
+:meth:`repro.study.study.StudyPlan.execute`.  Compilation to the
+campaign engine lives in :mod:`repro.study.study`; this module is
+dependency-light by design so loading and validating specs never
+imports an application.
 
 Grid semantics
 ==============
@@ -198,12 +201,12 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class StudySpec:
-    """A complete, serializable study: axes, scale, and engine knobs.
+    """A complete, serializable study: axes and scale.
 
     ``runs=None`` defers the campaign size to the environment-scaled
     experiment default (``REPRO_FI_RUNS``) at plan time; a concrete
-    ``runs`` pins it.  ``workers``/``out``/``resume`` are the uniform
-    engine knobs every execution path shares.
+    ``runs`` pins it.  Execution knobs belong to the execute call
+    (:meth:`repro.study.study.StudyPlan.execute`), not to the spec.
     """
 
     name: str = "study"
@@ -213,9 +216,6 @@ class StudySpec:
     order: str = "target"
     runs: Optional[int] = None
     seed: int = 0
-    workers: int = 1
-    out: Optional[str] = None
-    resume: bool = False
 
     def __post_init__(self) -> None:
         for name in ("targets", "models", "scenarios"):
@@ -232,10 +232,6 @@ class StudySpec:
                 f"order must be one of {ORDERS}, got {self.order!r}")
         if self.runs is not None and self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.resume and self.out is None:
-            raise ConfigError("resume=True requires out")
         keys = [cell.key for cell in self.cells()]
         dupes = sorted({k for k in keys if keys.count(k) > 1})
         if dupes:
@@ -312,21 +308,14 @@ class StudySpec:
             ["cell", "app", "model", "phase", "scenario", "runs"], rows,
             title=f"study {self.name!r}: {len(rows)} cells")
 
-    def with_knobs(self, runs: Optional[int] = None, seed: Optional[int] = None,
-                   workers: Optional[int] = None, out: Optional[str] = None,
-                   resume: Optional[bool] = None) -> "StudySpec":
-        """A copy with any provided scale/engine knobs overridden."""
+    def with_knobs(self, runs: Optional[int] = None,
+                   seed: Optional[int] = None) -> "StudySpec":
+        """A copy with the scale (``runs``/``seed``) overridden where given."""
         changes: Dict[str, Any] = {}
         if runs is not None:
             changes["runs"] = runs
         if seed is not None:
             changes["seed"] = seed
-        if workers is not None:
-            changes["workers"] = workers
-        if out is not None:
-            changes["out"] = out
-        if resume is not None:
-            changes["resume"] = resume
         return replace(self, **changes) if changes else self
 
     # -- dict round-trip --------------------------------------------------------
@@ -340,8 +329,7 @@ class StudySpec:
 
         out = prune({
             "name": self.name, "order": self.order, "runs": self.runs,
-            "seed": self.seed, "workers": self.workers, "out": self.out,
-            "resume": self.resume,
+            "seed": self.seed,
         })
         out["targets"] = [prune({
             "app": t.app, "label": t.label, "phase": t.phase,
@@ -389,8 +377,7 @@ class StudySpec:
         """The spec as a TOML document (the CLI/file interchange form)."""
         raw = self.to_dict()
         lines: List[str] = []
-        for key in ("name", "order", "runs", "seed", "workers", "out",
-                    "resume"):
+        for key in ("name", "order", "runs", "seed"):
             if key in raw:
                 lines.append(f"{key} = {_toml_value(raw[key])}")
         for section in ("targets", "models", "scenarios"):

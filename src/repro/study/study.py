@@ -90,9 +90,9 @@ class StudyPlan:
                     kind="metadata")
         return infos
 
-    def execute(self, workers: Optional[int] = None,
+    def execute(self, workers: int = 1,
                 results_path: Optional[str] = None,
-                resume: Optional[bool] = None,
+                resume: bool = False,
                 progress: Optional[Callable[[int, int], None]] = None,
                 executor=None,
                 hosts: Optional[int] = None,
@@ -102,9 +102,10 @@ class StudyPlan:
                 quarantine_after: Optional[int] = None) -> ResultSet:
         """Run the study through one fused sweep execution.
 
-        Keyword arguments override the spec's engine knobs; the study
-        checkpoints to one multiplexed JSONL file and resumes by
-        re-executing only the missing (cell, run index) pairs.
+        ``workers > 1`` forks one process pool for every cell;
+        ``results_path`` checkpoints the study to one multiplexed JSONL
+        file and ``resume`` re-executes only the (cell, run index) pairs
+        missing from it.
 
         ``hosts > 1`` switches to the lease-queue distributed engine
         (:mod:`repro.study.dist`): the plan is sharded into leases,
@@ -112,7 +113,6 @@ class StudyPlan:
         at ``queue_root`` (a throwaway default), and merged back into a
         result -- and checkpoint -- byte-identical to serial execution.
         """
-        spec = self.spec
         if hosts is not None and hosts > 1:
             from repro.study.dist import run_distributed
 
@@ -122,17 +122,10 @@ class StudyPlan:
             return run_distributed(
                 self, hosts=hosts, queue_root=queue_root,
                 lease_runs=lease_runs, lease_ttl=lease_ttl,
-                results_path=spec.out if results_path is None
-                else results_path,
-                resume=spec.resume if resume is None else resume,
-                **dist_knobs)
+                results_path=results_path, resume=resume, **dist_knobs)
         sweep = execute_sweep(
-            self.sweep,
-            executor=executor,
-            workers=spec.workers if workers is None else workers,
-            results_path=spec.out if results_path is None else results_path,
-            resume=spec.resume if resume is None else resume,
-            progress=progress)
+            self.sweep, executor=executor, workers=workers,
+            results_path=results_path, resume=resume, progress=progress)
         return ResultSet(
             {cell.key: sweep.records[cell.key] for cell in self.cells},
             info=self.cell_info(),
@@ -265,20 +258,9 @@ class Study:
 
     # -- convenience ------------------------------------------------------------
 
-    def run(self, workers: Optional[int] = None,
-            results_path: Optional[str] = None,
-            resume: Optional[bool] = None,
-            progress: Optional[Callable[[int, int], None]] = None,
-            executor=None,
-            hosts: Optional[int] = None,
-            queue_root: Optional[str] = None,
-            quarantine_after: Optional[int] = None) -> ResultSet:
-        """``plan().execute(...)`` in one call."""
-        return self.plan().execute(workers=workers, results_path=results_path,
-                                   resume=resume, progress=progress,
-                                   executor=executor, hosts=hosts,
-                                   queue_root=queue_root,
-                                   quarantine_after=quarantine_after)
+    def run(self, **knobs) -> ResultSet:
+        """``plan().execute(**knobs)`` in one call."""
+        return self.plan().execute(**knobs)
 
 
 def run_study(spec: StudySpec, apps: Optional[Mapping[str, object]] = None,

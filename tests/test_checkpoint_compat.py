@@ -11,10 +11,14 @@ v1 layout.  These regression tests pin the compatibility story:
   final line is forgiven as a mid-``emit`` kill, a terminated-but-
   undecodable line is corruption and raises;
 * v1 and v2 lines coexist in one multiplexed sweep checkpoint;
-* records from a newer schema than this build are refused.
+* records from a newer schema than this build are refused;
+* a value of the wrong JSON type is refused with an error naming its
+  field instead of being coerced (``"3"`` is not a run index, ``"false"``
+  is not a flag), while absent optional keys keep their defaults.
 """
 
 import filecmp
+import glob
 import json
 import os
 
@@ -23,11 +27,13 @@ import pytest
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.engine import (
+    iter_stamped_records,
     load_records,
     load_records_by_campaign,
     record_from_json,
     record_to_json,
 )
+from repro.core.engine.sink import format_stamped_line
 from repro.core.outcomes import Outcome, RunRecord
 from repro.errors import FFISError
 
@@ -136,3 +142,59 @@ class TestSchemaVersioning:
         raw["v"] = 3
         with pytest.raises(FFISError, match="schema v3"):
             record_from_json(raw)
+
+
+class TestSchemaTypes:
+    """One declared key -> type table types every decoded line."""
+
+    def legacy_line(self, **changes):
+        raw = record_to_json(RunRecord(3, Outcome.SDC, target_instance=7,
+                                       phase="mAdd", detail="d"))
+        raw.update(changes)
+        return raw
+
+    @pytest.mark.parametrize("key, value", [
+        ("run_index", "3"),
+        ("fault_fired", "false"),
+        ("phase", 7),
+        ("detail", None),
+        # A bool is not an int.
+        ("run_index", True),
+        ("target_instance", False),
+        ("byte_offset", True),
+        ("instances", [1, True]),
+        ("v", True),
+    ])
+    def test_wrong_type_raises_naming_the_field(self, key, value):
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            record_from_json(self.legacy_line(**{key: value}))
+
+    def test_absent_optional_keys_keep_their_defaults(self):
+        record = record_from_json({"run_index": 0, "outcome": "benign"})
+        assert record == RunRecord(0, Outcome.BENIGN)
+        assert (record.target_instance, record.detail,
+                record.fault_fired) == (-1, "", True)
+
+    def test_mistyped_unterminated_final_line_is_dropped(self, tmp_path):
+        bad = json.dumps(self.legacy_line(run_index="3")).encode()
+        path = partial_checkpoint(tmp_path, 3, tail=bad)
+        assert len(load_records(path)) == 3
+
+    def test_mistyped_terminated_line_is_corruption(self, tmp_path):
+        bad = json.dumps(self.legacy_line(fault_fired="false")).encode()
+        path = partial_checkpoint(tmp_path, 3, tail=bad + b"\n")
+        with pytest.raises(FFISError, match="fault_fired"):
+            load_records(path)
+
+    def test_every_fixture_decodes_losslessly(self):
+        """Each committed fixture line decodes to a record that the
+        writer formats back to the very same bytes."""
+        paths = sorted(glob.glob(os.path.join(DATA_DIR, "*.jsonl")))
+        assert paths
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as f:
+                lines = f.readlines()
+            decoded = list(iter_stamped_records(path))
+            assert len(decoded) == len(lines)
+            for (_, stamp, record), line in zip(decoded, lines):
+                assert format_stamped_line(record, stamp) == line

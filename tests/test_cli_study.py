@@ -164,6 +164,16 @@ class TestStudyCli:
         with pytest.raises(SystemExit):
             run_cli("study", "run", "figure7", "--resume")
 
+    def test_serve_resume_requires_out(self, tmp_path, capsys):
+        """``--resume`` is an execute-call knob now, not a spec field;
+        the parser still refuses it without ``--out`` before planning."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("study", "serve", "table3", "--queue",
+                    str(tmp_path / "q"), "--resume", "--timeout", "5")
+        assert exc.value.code == 2
+        assert "--resume requires --out" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
     def test_runs_rejected_for_metadata_only_studies(self):
         """A metadata sweep's size is bytes/stride; --runs would be
         silently ignored, so it is refused instead."""
@@ -213,6 +223,15 @@ class TestRebasedSubcommands:
     def test_run_out_rejected_for_knobless_driver(self):
         with pytest.raises(SystemExit):
             run_cli("run", "table4", "--out", "x.jsonl")
+
+    def test_run_workers_rejected_for_knobless_driver(self, capsys):
+        """A driver runs serially; ``--workers 2`` is a usage error, not
+        a silently ignored flag."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "figure5", "--workers", "2")
+        assert exc.value.code == 2
+        assert "--workers/--out/--resume do not apply" in \
+            capsys.readouterr().err
 
     def test_run_is_the_registered_study(self, tmp_path):
         """`repro run table3` and `repro study run table3` take one path:

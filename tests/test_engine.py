@@ -9,6 +9,7 @@ of invocations.
 import io
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -72,8 +73,8 @@ class TestExecutorEquivalence:
 
     def test_metadata_sweep_parallel_matches_serial(self, tiny_nyx):
         serial = MetadataCampaign(tiny_nyx, seed=5).run(byte_stride=256)
-        parallel = MetadataCampaign(tiny_nyx, seed=5, workers=2).run(
-            byte_stride=256)
+        parallel = MetadataCampaign(tiny_nyx, seed=5).run(byte_stride=256,
+                                                          workers=2)
         assert serial.records == parallel.records
 
     def test_make_executor(self):
@@ -84,15 +85,20 @@ class TestExecutorEquivalence:
         with pytest.raises(ConfigError):
             ParallelExecutor(workers=0)
 
-    def test_config_validates_engine_knobs(self):
+    def test_config_refuses_execution_knobs(self):
+        """A config says what to inject; how to execute it is an
+        argument of the run call, never a config key."""
+        for key, value in (("workers", 4), ("results_path", "r.jsonl"),
+                           ("resume", True), ("chunk_size", 16),
+                           ("replay", False)):
+            with pytest.raises(ConfigError, match="unknown configuration"):
+                CampaignConfig.from_dict({"fault_model": "BF", key: value})
+
+    def test_run_call_validates_engine_knobs(self, tiny_nyx, bf_config):
         with pytest.raises(ConfigError):
-            CampaignConfig(workers=0)
-        with pytest.raises(ConfigError):
-            CampaignConfig(resume=True)
-        config = CampaignConfig.from_dict(
-            {"fault_model": "BF", "workers": 4,
-             "results_path": "r.jsonl", "resume": True})
-        assert config.workers == 4
+            Campaign(tiny_nyx, bf_config).run(workers=0)
+        with pytest.raises(FFISError, match="results_path"):
+            Campaign(tiny_nyx, bf_config).run(resume=True)
 
 
 class _InstrumentedFuture:
@@ -177,7 +183,7 @@ class TestCheckpointResume:
         path = str(tmp_path / "results.jsonl")
         fresh = Campaign(tiny_nyx, bf_config).run()
         # "Kill" the campaign after 2 of 6 runs ...
-        Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=2)).run(results_path=path)
         assert completed_indices(path) == {0, 1}
         # ... and resume: only runs 2..5 execute, the merge is identical.
         seen = []
@@ -201,7 +207,7 @@ class TestCheckpointResume:
     def test_truncated_final_line_is_dropped(self, tiny_nyx, bf_config,
                                              tmp_path):
         path = str(tmp_path / "results.jsonl")
-        Campaign(tiny_nyx, bf_config).run(n_runs=3, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=3)).run(results_path=path)
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"v": 1, "run_index": 3, "outc')   # killed mid-write
         assert completed_indices(path) == {0, 1, 2}
@@ -223,7 +229,7 @@ class TestCheckpointResume:
     def test_resume_refuses_foreign_checkpoint(self, tiny_nyx, bf_config,
                                                tmp_path):
         path = str(tmp_path / "results.jsonl")
-        Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=2)).run(results_path=path)
         other = CampaignConfig(fault_model="DW", n_runs=6, seed=11)
         with pytest.raises(FFISError, match="refusing to merge"):
             Campaign(tiny_nyx, other).run(results_path=path, resume=True)
@@ -242,7 +248,7 @@ class TestCheckpointResume:
         from repro.apps.nyx import FieldConfig, NyxApplication
 
         path = str(tmp_path / "results.jsonl")
-        Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=2)).run(results_path=path)
         other = NyxApplication(seed=78, field_config=FieldConfig(
             shape=(16, 16, 16), n_halos=2, halo_amplitude=(800.0, 1500.0),
             halo_radius=(0.6, 0.8)), min_cells=3)
@@ -273,7 +279,7 @@ class TestCheckpointResume:
                                                         bf_config, tmp_path):
         path = str(tmp_path / "results.jsonl")
         sink = JsonlSink(path)   # bare sink: no campaign stamp
-        for record in Campaign(tiny_nyx, bf_config).run(n_runs=2).records:
+        for record in Campaign(tiny_nyx, replace(bf_config, n_runs=2)).run().records:
             sink.emit(record)
         sink.close()
         resumed = Campaign(tiny_nyx, bf_config).run(results_path=path,
@@ -319,11 +325,11 @@ class TestCheckpointResume:
         """A checkpoint full of paid-for runs must never be silently
         clobbered by a missing --resume flag."""
         path = str(tmp_path / "results.jsonl")
-        Campaign(tiny_nyx, bf_config).run(n_runs=4, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=4)).run(results_path=path)
         with open(path, "rb") as f:
             before = f.read()
         with pytest.raises(FFISError, match="--resume"):
-            Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
+            Campaign(tiny_nyx, replace(bf_config, n_runs=2)).run(results_path=path)
         with open(path, "rb") as f:
             assert f.read() == before
         assert completed_indices(path) == {0, 1, 2, 3}
@@ -332,7 +338,7 @@ class TestCheckpointResume:
                                                 tmp_path):
         path = str(tmp_path / "results.jsonl")
         open(path, "w").close()
-        Campaign(tiny_nyx, bf_config).run(n_runs=2, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=2)).run(results_path=path)
         assert completed_indices(path) == {0, 1}
 
 
@@ -388,7 +394,7 @@ class TestStreamingCheckpointReads:
     def test_resume_streams_the_checkpoint(self, tiny_nyx, bf_config,
                                            tmp_path, stream_only):
         path = str(tmp_path / "results.jsonl")
-        Campaign(tiny_nyx, bf_config).run(n_runs=3, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=3)).run(results_path=path)
         resumed = Campaign(tiny_nyx, bf_config).run(results_path=path,
                                                     resume=True)
         assert len(resumed.records) == 6
@@ -399,7 +405,7 @@ class TestStreamingCheckpointReads:
         """Appending after a kill trims the partial final line with a
         bounded backwards scan, not a whole-file read."""
         path = str(tmp_path / "results.jsonl")
-        Campaign(tiny_nyx, bf_config).run(n_runs=3, results_path=path)
+        Campaign(tiny_nyx, replace(bf_config, n_runs=3)).run(results_path=path)
         with open(path, "a", encoding="utf-8") as f:
             f.write('{"v": 1, "run_index": 3, "outc')
         resumed = Campaign(tiny_nyx, bf_config).run(results_path=path,

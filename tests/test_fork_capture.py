@@ -19,7 +19,6 @@ import pickle
 
 import pytest
 
-from repro.core.config import CampaignConfig
 from repro.core.engine import executor as executor_module
 from repro.core.engine.executor import (
     ParallelExecutor,
@@ -131,18 +130,9 @@ class TestAdaptiveChunking:
             ParallelExecutor(workers=2, chunk_size=0)
 
 
-# -- the config knob --------------------------------------------------------------
+# -- the default executor ---------------------------------------------------------
 
 
 class TestChunkSizeConfig:
     def test_default_is_adaptive(self):
-        assert CampaignConfig().chunk_size is None
-
-    def test_from_dict_accepts_chunk_size(self):
-        config = CampaignConfig.from_dict(
-            {"fault_model": "DW", "workers": 2, "chunk_size": 16})
-        assert config.chunk_size == 16
-
-    def test_invalid_chunk_size_is_config_error(self):
-        with pytest.raises(ConfigError, match="chunk_size"):
-            CampaignConfig(chunk_size=0)
+        assert make_executor(2).chunk_size is None

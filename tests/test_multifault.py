@@ -115,7 +115,11 @@ class TestMultifaultDriver:
         assert exp.driver is None
         assert get_study("multifault").build is multifault_spec
         import inspect
-        assert "results_path" in inspect.signature(Study.run).parameters
+
+        from repro.study.study import StudyPlan
+
+        # Study.run forwards its knobs to StudyPlan.execute.
+        assert "results_path" in inspect.signature(StudyPlan.execute).parameters
 
 
 class TestPerKStats:

@@ -100,8 +100,8 @@ class TestGuardMatchesFullPath:
         def campaign():
             path = str(next(paths))
             Campaign(small_nyx(chunks=(8, 8, 8), compression="deflate"),
-                     CampaignConfig(fault_model="BF", n_runs=24, seed=9,
-                                    results_path=path)).run()
+                     CampaignConfig(fault_model="BF", n_runs=24, seed=9)
+                     ).run(results_path=path)
             return read_bytes(path)
 
         guarded, unguarded = guarded_and_unguarded(monkeypatch, campaign)

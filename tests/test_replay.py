@@ -9,6 +9,7 @@ fault-point-aware suffix fast-forward.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Tuple
 
 import pytest
@@ -387,17 +388,18 @@ class TestSuffixFastForward:
 class TestReplayedCheckpointResume:
     """Kill/resume of a replayed campaign merges identically."""
 
-    def test_resume_completes_the_remainder_with_replay(self, tmp_path):
+    def test_resume_completes_the_remainder_with_replay(self, tmp_path,
+                                                        monkeypatch):
         app = ChainApp()
         config = CampaignConfig(fault_model="BF", n_runs=6, seed=9)
         fresh = Campaign(app, config).run()
         path = str(tmp_path / "chain.jsonl")
-        Campaign(app, config).run(n_runs=2, results_path=path)
+        Campaign(app, replace(config, n_runs=2)).run(results_path=path)
         resumed = Campaign(app, config).run(results_path=path, resume=True)
         assert resumed.records == fresh.records
         # And the cold stream agrees (the determinism contract).
-        cold = Campaign(app, CampaignConfig(fault_model="BF", n_runs=6,
-                                            seed=9, replay=False)).run()
+        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+        cold = Campaign(app, config).run()
         assert cold.records == fresh.records
 
 

@@ -60,14 +60,18 @@ CASES = [
 
 
 @pytest.mark.parametrize("app_id,model,phase,scenario", CASES)
-def test_replayed_records_equal_cold_records(app_id, model, phase, scenario):
-    def run(replay):
+def test_replayed_records_equal_cold_records(app_id, model, phase, scenario,
+                                            monkeypatch):
+    def run(no_replay):
+        if no_replay:
+            monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+        else:
+            monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
         config = CampaignConfig(fault_model=model, n_runs=5, seed=13,
-                                phase=phase, scenario=scenario,
-                                replay=replay)
+                                phase=phase, scenario=scenario)
         return Campaign(APPS[app_id](), config).run().records
 
-    assert run(True) == run(False)
+    assert run(False) == run(True)
 
 
 def test_replayed_metadata_sweep_equals_cold(monkeypatch):
@@ -82,27 +86,22 @@ def test_replayed_metadata_sweep_equals_cold(monkeypatch):
     assert run(False) == run(True)
 
 
-def test_replayed_parallel_sweep_equals_cold_serial():
+def test_replayed_parallel_sweep_equals_cold_serial(monkeypatch):
     """Replay composes with the fused sweep and the process pool."""
     from repro.study import ModelSpec, ScenarioSpec, Study, StudySpec, TargetSpec
 
-    def spec(workers):
-        return StudySpec(
-            name="guard",
-            targets=(TargetSpec(app="montage", phase="mAdd", label="MT4"),
-                     TargetSpec(app="montage", phase="mBgExec", label="MT3")),
-            models=(ModelSpec(model="BF"), ModelSpec(model="DW")),
-            scenarios=(ScenarioSpec(),),
-            runs=4, seed=2, workers=workers)
+    spec = StudySpec(
+        name="guard",
+        targets=(TargetSpec(app="montage", phase="mAdd", label="MT4"),
+                 TargetSpec(app="montage", phase="mBgExec", label="MT3")),
+        models=(ModelSpec(model="BF"), ModelSpec(model="DW")),
+        scenarios=(ScenarioSpec(),),
+        runs=4, seed=2)
 
-    import os
-
-    replayed = Study(spec(workers=2), apps={"montage": small_montage()}).run()
-    os.environ["REPRO_NO_REPLAY"] = "1"
-    try:
-        cold = Study(spec(workers=1), apps={"montage": small_montage()}).run()
-    finally:
-        del os.environ["REPRO_NO_REPLAY"]
+    monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
+    replayed = Study(spec, apps={"montage": small_montage()}).run(workers=2)
+    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+    cold = Study(spec, apps={"montage": small_montage()}).run(workers=1)
     assert replayed.keys() == cold.keys()
     for key in replayed.keys():
         assert replayed.cell(key) == cold.cell(key)

@@ -162,13 +162,13 @@ class TestStudyExecution:
         for key in uninterrupted.keys():
             assert resumed.cell(key) == uninterrupted.cell(key)
 
-    def test_spec_engine_knobs_drive_execution(self, tmp_path):
+    def test_execute_call_knobs_drive_execution(self, tmp_path):
         path = str(tmp_path / "knobs.jsonl")
         spec = StudySpec(name="knobs",
                          targets=(TargetSpec(app="TOY"),),
                          models=(ModelSpec(model="DW"),),
-                         runs=2, seed=3, out=path)
-        results = Study(spec, apps={"TOY": ToyApp()}).run()
+                         runs=2, seed=3)
+        results = Study(spec, apps={"TOY": ToyApp()}).run(results_path=path)
         assert os.path.exists(path)
         assert results.executed == 2
 

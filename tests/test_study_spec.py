@@ -35,14 +35,27 @@ class TestValidation:
             grid_spec(order="diagonal")
 
     def test_bad_runs_and_workers(self):
+        """``runs`` is checked on the spec; ``workers`` is an argument of
+        the execute call and is checked where the executor is made."""
+        from repro.core.engine import make_executor
+
         with pytest.raises(ConfigError, match="runs"):
             grid_spec(runs=0)
         with pytest.raises(ConfigError, match="workers"):
-            grid_spec(workers=0)
+            make_executor(0)
 
-    def test_resume_requires_out(self):
-        with pytest.raises(ConfigError, match="resume"):
-            grid_spec(resume=True)
+    def test_execution_knobs_are_unknown_keys(self):
+        """A spec is planning data: a dict or TOML file that still
+        carries an execution knob is refused, not silently obeyed."""
+        for key, value, toml in (("workers", 2, "2"),
+                                 ("out", "x.jsonl", '"x.jsonl"'),
+                                 ("resume", True, "true")):
+            raw = dict(grid_spec().to_dict(), **{key: value})
+            with pytest.raises(ConfigError, match="unknown StudySpec keys"):
+                StudySpec.from_dict(raw)
+            text = f"{key} = {toml}\n" + grid_spec().to_toml()
+            with pytest.raises(ConfigError, match="unknown StudySpec keys"):
+                StudySpec.from_toml(text)
 
     def test_bad_scenario_string(self):
         with pytest.raises(ConfigError):
@@ -186,10 +199,10 @@ class TestTomlRoundTrip:
 
 class TestWithKnobs:
     def test_overrides_apply(self):
-        spec = grid_spec().with_knobs(runs=99, seed=1, workers=2,
-                                      out="x.jsonl", resume=True)
-        assert (spec.runs, spec.seed, spec.workers) == (99, 1, 2)
-        assert spec.out == "x.jsonl" and spec.resume is True
+        spec = grid_spec().with_knobs(runs=99, seed=1)
+        assert (spec.runs, spec.seed) == (99, 1)
+        with pytest.raises(TypeError):
+            grid_spec().with_knobs(workers=2)
 
     def test_none_keeps_existing(self):
         spec = grid_spec()
